@@ -212,8 +212,12 @@ class Vocabulary:
                 if len(parts) != 2:
                     raise TokenizerError(f"{merges_path}:{lineno}: malformed merge rule")
                 merges.append((parts[0], parts[1]))
-        specials = [t for t in tokens if re.fullmatch(r"\[.+\]", t)]
-        return cls(id_to_token=tokens, merges=merges, special_tokens=specials)
+        # Specials hold the leading ids; a learned subword may look like one.
+        n_special = next(
+            (i for i, t in enumerate(tokens) if not re.fullmatch(r"\[.+\]", t)),
+            len(tokens),
+        )
+        return cls(id_to_token=tokens, merges=merges, special_tokens=tokens[:n_special])
 
 
 def _initial_symbols(word: str) -> list[str]:

@@ -19,11 +19,11 @@ from . import evaluation, pooling, retrieval, training
 from .bpe import Vocabulary, train_bpe
 from .corpus import (
     World,
+    apply_type_annotations,
     documents_from_entities,
     load_entities,
     load_entity_type_annotations,
     load_mentions,
-    apply_type_annotations,
     validate_mentions,
 )
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
@@ -64,22 +64,42 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _load_world(args, use_types: bool) -> World:
+def _types_enabled(args) -> bool:
+    return bool(args.entity_types) and args.entity_types != "off"
+
+
+def _typed(args, world: World) -> World:
+    """``world`` typed from --entity-types (ids absent there get <unk>);
+    unchanged when types are off."""
+    if not _types_enabled(args):
+        return world
+    return apply_type_annotations(world, load_entity_type_annotations(args.entity_types))
+
+
+def _load_world(args) -> World:
     entities = load_entities(args.entities, args.world)
     mentions = load_mentions(args.mentions)
     doc_path = getattr(args, "documents", None) or args.entities
     documents = documents_from_entities(load_entities(doc_path, args.world))
     validate_mentions(mentions, documents, {e.entity_id for e in entities})
-    world = World(args.world, entities, documents, mentions)
-    if use_types:
-        world = apply_type_annotations(
-            world, load_entity_type_annotations(args.entity_types)
+    return _typed(args, World(args.world, entities, documents, mentions))
+
+
+def _mention_vectors(args, mentions, documents, vocab, params_m, enc_cfg, kind):
+    """Pooled mention vectors, encoded ``retrieval.EMBED_CHUNK`` at a time."""
+    use_types = _types_enabled(args)
+    seqs = [
+        build_mention_sequence(
+            m, documents[m.context_document_id], vocab, enc_cfg.max_len, use_types
         )
-    return world
-
-
-def _types_enabled(args) -> bool:
-    return bool(args.entity_types) and args.entity_types != "off"
+        for m in mentions
+    ]
+    slots, step = shared_slot_count(use_types), retrieval.EMBED_CHUNK
+    return [
+        y
+        for i in range(0, len(seqs), step)
+        for y in forward_pooled(params_m, enc_cfg, seqs[i : i + step], kind, slots)[0]
+    ]
 
 
 def _encoder_config(args, vocab_size: int) -> EncoderConfig:
@@ -116,7 +136,7 @@ def cmd_train_bpe(args):
 
 def cmd_train(args):
     use_types = _types_enabled(args)
-    world = _load_world(args, use_types)
+    world = _load_world(args)
     vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
     enc_cfg = _encoder_config(args, len(vocab))
     train_cfg = TrainConfig(
@@ -143,12 +163,7 @@ def cmd_train(args):
 def cmd_embed(args):
     use_types = _types_enabled(args)
     entities = load_entities(args.entities, args.world)
-    if use_types:
-        ann = load_entity_type_annotations(args.entity_types)
-        from dataclasses import replace
-        entities = [
-            replace(e, entity_type=ann.get(e.entity_id, e.entity_type)) for e in entities
-        ]
+    entities = _typed(args, World(args.world, entities, {})).entities
     vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
     enc_cfg, params_e = load_checkpoint(args.checkpoint)
     index = retrieval.build_index(
@@ -167,38 +182,20 @@ def cmd_embed(args):
     return 0
 
 
-def _retrieve_results(args, index, mentions, documents, vocab, params_m, enc_cfg):
-    use_types = _types_enabled(args)
-    slots = shared_slot_count(use_types)
-    results = []
-    for m in mentions:
-        seq = build_mention_sequence(
-            m, documents[m.context_document_id], vocab, enc_cfg.max_len, use_types
-        )
-        y, _ = forward_pooled(params_m, enc_cfg, [seq], args.pooling, slots)
-        results.append(retrieval.top_k(index, y[0], args.k, args.metric, m.mention_id))
-    return results
-
-
 def cmd_retrieve(args):
     use_types = _types_enabled(args)
     index = retrieval.load_index(args.index)
     if args.k > len(index.entity_ids):
         raise SystemExit(f"--k {args.k} exceeds index size {len(index.entity_ids)}")
-    mentions = load_mentions(args.mentions)
-    if use_types:
-        ann = load_entity_type_annotations(args.entity_types)
-        from dataclasses import replace
-        mentions = [
-            replace(m, entity_type=ann.get(m.mention_id, m.entity_type)) for m in mentions
-        ]
-    doc_entities = load_entities(args.documents, world="_")
-    documents = documents_from_entities(doc_entities)
+    mentions = _typed(args, World("", [], {}, load_mentions(args.mentions))).mentions
+    documents = documents_from_entities(load_entities(args.documents, world="_"))
     vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
     enc_cfg, params_m = load_checkpoint(args.checkpoint)
-    results = _retrieve_results(
-        args, index, mentions, documents, vocab, params_m, enc_cfg
-    )
+    ys = _mention_vectors(args, mentions, documents, vocab, params_m, enc_cfg, args.pooling)
+    results = [
+        retrieval.top_k(index, y, args.k, args.metric, m.mention_id)
+        for m, y in zip(mentions, ys)
+    ]
     with open(args.out, "w", encoding="utf-8") as f:
         for r in results:
             for rank, (eid, score) in enumerate(r.candidates, 1):
@@ -243,6 +240,13 @@ def cmd_eval(args):
     mentions = load_mentions(args.mentions)
     gold = {m.mention_id: m.gold_entity_id for m in mentions}
     worlds = {m.mention_id: m.world for m in mentions}
+    retrieved = {r.mention_id for r in results}
+    missing = [mid for mid in gold if mid not in retrieved]
+    if missing:
+        raise SystemExit(
+            f"{args.results} has no rows for {len(missing)} of the {len(gold)} "
+            f"mentions in {args.mentions} (first: {missing[0]})"
+        )
     ks = [int(k) for k in args.ks.split(",")]
     max_k = min(len(r.candidates) for r in results)
     ks = [k for k in ks if k <= max_k] or [max_k]
@@ -267,7 +271,7 @@ def cmd_experiment(args):
         type_args.entity_types = args.entity_types if use_types else "off"
         if use_types and not _types_enabled(type_args):
             raise SystemExit("experiment needs --entity-types for the types-on arm")
-        world = _load_world(type_args, use_types)
+        world = _load_world(type_args)
         gold = {m.mention_id: m.gold_entity_id for m in world.mentions}
         enc_cfg = _encoder_config(args, len(vocab))
         slots = shared_slot_count(use_types)
@@ -285,18 +289,14 @@ def cmd_experiment(args):
                     world.entities, result.params_e, enc_cfg, vocab, kind,
                     slot_count=slots, use_entity_type=use_types, world=args.world,
                 )
-                mention_seqs = [
-                    build_mention_sequence(
-                        m, world.documents[m.context_document_id], vocab,
-                        enc_cfg.max_len, use_types,
-                    )
-                    for m in world.mentions
-                ]
-                ys, _ = forward_pooled(result.params_m, enc_cfg, mention_seqs, kind, slots)
+                ys = _mention_vectors(
+                    type_args, world.mentions, world.documents, vocab,
+                    result.params_m, enc_cfg, kind,
+                )
                 for metric in retrieval.ALL_METRICS:
                     results = [
-                        retrieval.top_k(index, ys[i], args.k, metric, m.mention_id)
-                        for i, m in enumerate(world.mentions)
+                        retrieval.top_k(index, y, args.k, metric, m.mention_id)
+                        for m, y in zip(world.mentions, ys)
                     ]
                     per_metric[metric].append(
                         evaluation.accuracy_at_k(results, gold, args.k)
@@ -398,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=50)
     p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
     p.add_argument("--entity-types", default="off")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_retrieve)
 

@@ -89,10 +89,6 @@ def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
     return params
 
 
-def zeros_like_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
-
-
 # -- primitive layers --------------------------------------------------------
 
 
@@ -160,6 +156,10 @@ def forward(
         raise EncoderError("token id out of vocabulary range")
     attn_lens = np.asarray(attn_lens, dtype=np.int64)
     b, n = ids.shape
+    if attn_lens.shape != (b,):
+        raise EncoderError(f"expected attn_lens of shape ({b},), got {attn_lens.shape}")
+    if attn_lens.min(initial=1) < 1 or attn_lens.max(initial=1) > n:
+        raise EncoderError(f"attention length outside [1, {n}]")
     real = np.arange(n)[None, :] < attn_lens[:, None]  # (B, n)
     attn_bias = np.where(real, 0.0, _NEG_INF)[:, None, None, :]
 
@@ -281,17 +281,6 @@ def backward(cache: dict, dh: np.ndarray) -> dict[str, np.ndarray]:
     grads["tok_emb"] = np.zeros((config.vocab_size, config.dim))
     np.add.at(grads["tok_emb"], ids, demb)
     return grads
-
-
-def encode_forward(params, config: EncoderConfig, seq):
-    """Single-sequence forward; returns ((n, D) hidden states, cache)."""
-    h, cache = forward(params, config, seq.ids[None, :], np.array([seq.attn_len]))
-    return h[0], cache
-
-
-def encode_backward(cache, dh: np.ndarray) -> dict[str, np.ndarray]:
-    """Single-sequence adjoint of encode_forward."""
-    return backward(cache, dh[None, :, :])
 
 
 # -- checkpoints -------------------------------------------------------------

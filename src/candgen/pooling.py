@@ -4,6 +4,20 @@ Six variants: the [CLS] row, average/sum over real tokens, average/sum
 over special-token rows only, and concatenation of special-token rows
 zero-padded to a shared slot budget so both encoder sides score with a
 plain dot product.
+
+Every variant is one weight tensor per batch. ``W`` has shape (B, S, n)
+with 0/1 entries: ``W[b, s, i] = 1`` when row i of sequence b feeds slot
+s. S is the slot count for conc_special (slot s holds the s-th special
+row; unused slots stay zero) and 1 for every other kind. With a per-row
+denominator L (the attention length for avg, the special count for
+avg_special, 1 otherwise):
+
+    y[b]  = (sum_i W[b, :, i] h[b, i]) / L[b]   reshaped to S * D
+    dh[b] = sum_s W[b, s, :]^T g[b, s] / L[b]
+
+The weights stay 0/1 and the division comes after the sum, so each
+pooled value is the same float sum, in the same row order, as summing
+the selected rows one sequence at a time.
 """
 
 from __future__ import annotations
@@ -32,89 +46,70 @@ def pooled_dim(kind: str, dim: int, slot_count: int | None = None) -> int:
     return dim
 
 
+def _weights(n, attn_lens, special_indices, kind, slot_count):
+    """0/1 weights (B, S, n) and denominators (B, 1, 1) for one batch."""
+    if kind not in ALL_KINDS:
+        raise PoolingError(f"unknown pooling kind {kind!r}")
+    lens = np.asarray(attn_lens, dtype=np.int64).reshape(-1)
+    b = len(lens)
+    slots = pooled_dim(kind, 1, slot_count)  # S
+    w = np.zeros((b, slots, n))
+    denom = np.ones(b)
+    if kind == CLS:
+        w[:, 0, 0] = 1.0
+    elif kind in (AVG, SUM):
+        w[:, 0, :] = np.arange(n) < lens[:, None]
+        if kind == AVG:
+            if (lens < 1).any():
+                raise PoolingError("cannot average an empty sequence")
+            denom = lens.astype(np.float64)
+    else:
+        if len(special_indices) != b:
+            raise PoolingError(f"{len(special_indices)} special lists for {b} sequences")
+        counts = np.array([len(idx) for idx in special_indices], dtype=np.int64)
+        if (counts == 0).any():
+            raise PoolingError(f"{kind} pooling requires special-token positions")
+        rows = np.repeat(np.arange(b), counts)
+        cols = np.concatenate(special_indices).astype(np.int64, copy=False)
+        if (cols < 0).any() or (cols >= lens[rows]).any():
+            raise PoolingError("special position beyond attention length")
+        if (np.diff(rows * n + cols) <= 0).any():
+            raise PoolingError("special positions must be strictly increasing")
+        if kind == CONC_SPECIAL:
+            if counts.max() > slots:
+                raise PoolingError(
+                    f"slot count {slot_count} below special count {counts.max()}"
+                )
+            slot = np.arange(len(cols)) - (np.cumsum(counts) - counts)[rows]
+        else:
+            slot = 0
+        w[rows, slot, cols] = 1.0
+        if kind == AVG_SPECIAL:
+            denom = counts.astype(np.float64)
+    return w, denom[:, None, None]
+
+
 def reduce(
     h: np.ndarray,
-    attn_len: int,
-    special_indices: list[int],
+    attn_lens,
+    special_indices: list[list[int]],
     kind: str,
     slot_count: int | None = None,
-    over_full_length: bool = False,
-) -> np.ndarray:
-    """Pool (n, D) hidden states into one vector.
+):
+    """Pool (B, n, D) hidden states into (B, P) vectors.
 
-    ``over_full_length`` switches avg/sum (and their special variants'
-    denominator) to the fixed sequence length n instead of the number of
-    contributing rows; padding rows are zero so only denominators change.
+    Returns (Y, cache); the cache feeds ``backward_reduce``.
     """
-    n, d = h.shape
-    if kind == CLS:
-        return h[0].copy()
-    if kind in (AVG, SUM):
-        total = h[:attn_len].sum(axis=0)
-        if kind == SUM:
-            return total
-        denom = n if over_full_length else attn_len
-        if denom == 0:
-            raise PoolingError("cannot average an empty sequence")
-        return total / denom
-    if kind in (AVG_SPECIAL, SUM_SPECIAL, CONC_SPECIAL):
-        if not special_indices:
-            raise PoolingError(f"{kind} pooling requires special-token positions")
-        if any(i >= attn_len for i in special_indices):
-            raise PoolingError("special position beyond attention length")
-        rows = h[np.asarray(special_indices)]
-        if kind == SUM_SPECIAL:
-            return rows.sum(axis=0)
-        if kind == AVG_SPECIAL:
-            denom = n if over_full_length else len(special_indices)
-            return rows.sum(axis=0) / denom
-        if slot_count is None or slot_count < len(special_indices):
-            raise PoolingError(
-                f"slot count {slot_count} below special count {len(special_indices)}"
-            )
-        out = np.zeros(slot_count * d)
-        out[: rows.size] = rows.reshape(-1)
-        return out
-    raise PoolingError(f"unknown pooling kind {kind!r}")
+    b, n, d = h.shape
+    w, denom = _weights(n, attn_lens, special_indices, kind, slot_count)
+    y = np.einsum("bsn,bnd->bsd", w, h) / denom
+    return y.reshape(b, -1), (w, denom, d)
 
 
-def backward_reduce(
-    g: np.ndarray,
-    n: int,
-    dim: int,
-    attn_len: int,
-    special_indices: list[int],
-    kind: str,
-    slot_count: int | None = None,
-    over_full_length: bool = False,
-) -> np.ndarray:
-    """Adjoint of ``reduce``: scatter a pooled-vector gradient back to (n, D)."""
-    dh = np.zeros((n, dim))
-    if kind == CLS:
-        if g.shape != (dim,):
-            raise PoolingError(f"gradient shape {g.shape} mismatch for {kind}")
-        dh[0] = g
-        return dh
-    if kind in (AVG, SUM):
-        if g.shape != (dim,):
-            raise PoolingError(f"gradient shape {g.shape} mismatch for {kind}")
-        if kind == AVG:
-            g = g / (n if over_full_length else attn_len)
-        dh[:attn_len] = g
-        return dh
-    if kind in (AVG_SPECIAL, SUM_SPECIAL):
-        if g.shape != (dim,):
-            raise PoolingError(f"gradient shape {g.shape} mismatch for {kind}")
-        if kind == AVG_SPECIAL:
-            g = g / (n if over_full_length else len(special_indices))
-        for i in special_indices:
-            dh[i] += g
-        return dh
-    if kind == CONC_SPECIAL:
-        if slot_count is None or g.shape != (slot_count * dim,):
-            raise PoolingError(f"gradient shape {g.shape} mismatch for {kind}")
-        slots = g.reshape(slot_count, dim)
-        for slot, i in enumerate(special_indices):
-            dh[i] += slots[slot]
-        return dh
-    raise PoolingError(f"unknown pooling kind {kind!r}")
+def backward_reduce(cache, g: np.ndarray) -> np.ndarray:
+    """Adjoint of ``reduce``: scatter (B, P) pooled gradients back to (B, n, D)."""
+    w, denom, d = cache
+    b, s, _ = w.shape
+    if g.shape != (b, s * d):
+        raise PoolingError(f"gradient shape {g.shape} mismatch, expected {(b, s * d)}")
+    return np.einsum("bsn,bsd->bnd", w, g.reshape(b, s, d) / denom)

@@ -14,14 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoder, pooling
+from . import pooling
 from .encoder import EncoderConfig
 from .templates import build_entity_sequence
+from .training import forward_pooled
 
 DOT = "dot"
 COSINE = "cosine"
 EUCLIDEAN = "euclidean"
 ALL_METRICS = (DOT, COSINE, EUCLIDEAN)
+EMBED_CHUNK = 64  # sequences per encoder forward pass
 
 
 class RetrievalError(ValueError):
@@ -132,21 +134,9 @@ def build_index(
     ]
 
     def embed_chunk(chunk):
-        ids = np.stack([s.ids for s in chunk])
-        lens = np.array([s.attn_len for s in chunk])
-        h, _ = encoder.forward(params_e, enc_cfg, ids, lens)
-        return np.stack(
-            [
-                pooling.reduce(
-                    h[i], chunk[i].attn_len, chunk[i].special_indices,
-                    pooling_kind, slot_count,
-                )
-                for i in range(len(chunk))
-            ]
-        )
+        return forward_pooled(params_e, enc_cfg, chunk, pooling_kind, slot_count)[0]
 
-    chunk_size = 64
-    chunks = [seqs[i : i + chunk_size] for i in range(0, len(seqs), chunk_size)]
+    chunks = [seqs[i : i + EMBED_CHUNK] for i in range(0, len(seqs), EMBED_CHUNK)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(embed_chunk, chunks))

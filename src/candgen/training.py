@@ -11,7 +11,7 @@ import numpy as np
 
 from . import encoder, pooling
 from .bpe import Vocabulary
-from .corpus import World, mention_surface
+from .corpus import World
 from .encoder import EncoderConfig
 from .templates import (
     TokenSequence,
@@ -127,26 +127,14 @@ def forward_pooled(
     ids = np.stack([s.ids for s in seqs])
     lens = np.array([s.attn_len for s in seqs])
     h, cache = encoder.forward(params, enc_cfg, ids, lens)
-    ys = [
-        pooling.reduce(h[i], seqs[i].attn_len, seqs[i].special_indices, kind, slot_count)
-        for i in range(len(seqs))
-    ]
-    return np.stack(ys), dict(cache=cache, seqs=seqs, kind=kind, slot_count=slot_count)
+    y, weights = pooling.reduce(
+        h, lens, [s.special_indices for s in seqs], kind, slot_count
+    )
+    return y, dict(cache=cache, weights=weights)
 
 
 def backward_pooled(state: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
-    cache, seqs = state["cache"], state["seqs"]
-    cfg: EncoderConfig = cache["config"]
-    dh = np.stack(
-        [
-            pooling.backward_reduce(
-                dY[i], cfg.max_len, cfg.dim, s.attn_len, s.special_indices,
-                state["kind"], state["slot_count"],
-            )
-            for i, s in enumerate(seqs)
-        ]
-    )
-    return encoder.backward(cache, dh)
+    return encoder.backward(state["cache"], pooling.backward_reduce(state["weights"], dY))
 
 
 def batch_loss_and_grads(

@@ -118,20 +118,20 @@ def test_criterion_4_pooling_identities(capsys):
             h[attn_len:] = 0.0
             specials = sorted(set(int(i) for i in rng.integers(0, attn_len, size=3)))
             np.testing.assert_allclose(
-                pooling.reduce(h, attn_len, specials, pooling.AVG),
-                pooling.reduce(h, attn_len, specials, pooling.SUM) / attn_len,
+                pooling.reduce(h[None], [attn_len], [specials], pooling.AVG)[0],
+                pooling.reduce(h[None], [attn_len], [specials], pooling.SUM)[0] / attn_len,
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                pooling.reduce(h, attn_len, specials, pooling.SUM_SPECIAL),
-                pooling.reduce(h, attn_len, specials, pooling.AVG_SPECIAL)
+                pooling.reduce(h[None], [attn_len], [specials], pooling.SUM_SPECIAL)[0],
+                pooling.reduce(h[None], [attn_len], [specials], pooling.AVG_SPECIAL)[0]
                 * len(specials),
                 atol=1e-12,
             )
             everything = list(range(attn_len))
             np.testing.assert_allclose(
-                pooling.reduce(h, attn_len, everything, pooling.AVG),
-                pooling.reduce(h, attn_len, everything, pooling.AVG_SPECIAL),
+                pooling.reduce(h[None], [attn_len], [everything], pooling.AVG)[0],
+                pooling.reduce(h[None], [attn_len], [everything], pooling.AVG_SPECIAL)[0],
                 atol=1e-12,
             )
         ok = True

@@ -149,6 +149,16 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.encode(text) == vocab.encode(text)
 
 
+def test_load_keeps_bracketed_subwords_ordinary(tmp_path):
+    # "[y]" is a learned subword here, not a special token.
+    vocab = train_bpe(["x[y]z"], len(SPECIALS) + 40)
+    assert "[y]" in vocab.id_to_token and "[y]" not in vocab.special_tokens
+    vocab.save(tmp_path / "v.vocab", tmp_path / "v.merges")
+    loaded = Vocabulary.load(tmp_path / "v.vocab", tmp_path / "v.merges")
+    assert loaded.special_tokens == vocab.special_tokens
+    assert loaded.encode("x[y]z") == vocab.encode("x[y]z")
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.text(alphabet="abcd", min_size=1, max_size=6), min_size=1, max_size=20))
 def test_round_trip_property(words):

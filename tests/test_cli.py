@@ -84,6 +84,20 @@ def test_eval_matches_module_oracle(pipeline, toy_files):
         )
 
 
+def test_eval_rejects_results_missing_gold_mentions(pipeline, toy_files, capsys):
+    partial = str(pipeline["out"] / "partial.tsv")
+    with open(pipeline["results"]) as f:
+        rows = f.read().splitlines()
+    first = rows[0].split("\t")[0]
+    with open(partial, "w") as f:
+        f.write("\n".join(r for r in rows if r.split("\t")[0] == first) + "\n")
+    code = main(["eval", "--results", partial, "--mentions", toy_files["mentions"],
+                 "--ks", "1,5", "--out", str(pipeline["out"] / "partial")])
+    assert code == 1
+    assert "no rows for 19 of the 20 mentions" in capsys.readouterr().err
+    assert not os.path.exists(str(pipeline["out"] / "partial.report"))
+
+
 def test_retrieve_smaller_k_is_prefix(pipeline, toy_files):
     out50 = str(pipeline["out"] / "r5.tsv")
     out64 = str(pipeline["out"] / "r8.tsv")

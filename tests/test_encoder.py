@@ -81,6 +81,14 @@ def test_bad_inputs_rejected(tiny_config):
         E.forward(params, tiny_config, np.full((1, 6), 99), np.array([6]))
 
 
+@pytest.mark.parametrize("lens", [[0, 3], [3, 7], [3], [[3, 3]], [-1, 3]])
+def test_bad_attention_lengths_rejected(tiny_config, lens):
+    params = E.init_params(tiny_config)
+    ids = np.array([[3, 1, 7, 0, 0, 0], [2, 2, 2, 0, 0, 0]])
+    with pytest.raises(E.EncoderError):
+        E.forward(params, tiny_config, ids, np.array(lens))
+
+
 def test_backward_shape_mismatch_rejected(tiny_config):
     params = E.init_params(tiny_config)
     ids = np.array([[3, 1, 7, 2, 0, 0]])
@@ -171,17 +179,3 @@ def test_checkpoint_round_trip(tmp_path, tiny_config):
     assert cfg2 == tiny_config
     for name in params:
         np.testing.assert_array_equal(params[name], params2[name])
-
-
-def test_encode_forward_wrapper(tiny_config, char_vocab):
-    from candgen.corpus import MentionRecord
-    from candgen.templates import build_mention_sequence
-
-    cfg = EncoderConfig(**{**tiny_config.__dict__, "vocab_size": len(char_vocab), "max_len": 8})
-    params = E.init_params(cfg)
-    m = MentionRecord("m1", "d1", 1, 1, "e1", "w")
-    seq = build_mention_sequence(m, ["a", "b", "c"], char_vocab, 8)
-    h, cache = E.encode_forward(params, cfg, seq)
-    assert h.shape == (8, cfg.dim)
-    grads = E.encode_backward(cache, np.ones_like(h))
-    assert grads["tok_emb"].shape == (len(char_vocab), cfg.dim)

@@ -163,9 +163,11 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab):
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
     params = init_params(cfg)
-    serial = R.build_index(toy_world.entities, params, cfg, toy_vocab, "cls")
-    parallel = R.build_index(toy_world.entities, params, cfg, toy_vocab, "cls", workers=4)
+    entities = toy_world.entities * 7  # three encoder chunks
+    serial = R.build_index(entities, params, cfg, toy_vocab, "cls")
+    parallel = R.build_index(entities, params, cfg, toy_vocab, "cls", workers=4)
     np.testing.assert_array_equal(serial.matrix, parallel.matrix)
+    np.testing.assert_array_equal(serial.matrix, np.tile(serial.matrix[:20], (7, 1)))
 
 
 def test_index_save_load_round_trip(tmp_path):

@@ -3,11 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from candgen import pooling
 from candgen import training as T
-from candgen.corpus import EntityRecord, MentionRecord
+from candgen.corpus import EntityRecord, MentionRecord, apply_type_annotations
 from candgen.encoder import EncoderConfig, init_params
-from candgen.templates import build_entity_sequence, build_mention_sequence
+from candgen.templates import (
+    build_entity_sequence,
+    build_mention_sequence,
+    shared_slot_count,
+)
 
 
 def reference_loss(scores):
@@ -202,3 +209,47 @@ def test_train_config_validation():
         T.TrainConfig(learning_rate=0.0)
     with pytest.raises(T.TrainingError):
         T.TrainConfig(pooling_kind="nope")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(pooling.ALL_KINDS),
+    typed=st.booleans(),
+    max_len=st.integers(min_value=10, max_value=40),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_batched_pooling_equals_row_by_row(toy_world, toy_vocab, kind, typed, max_len, seed):
+    """One batch of mixed mention and entity sequences (so mixed attention
+    lengths and special positions) pools exactly as one sequence at a time,
+    and each row's gradients are exactly those of that row alone."""
+    rng = np.random.default_rng(seed)
+    world = toy_world
+    if typed:
+        labels = ("PERSON", "ORG", "GPE")
+        ids = [e.entity_id for e in world.entities] + [m.mention_id for m in world.mentions]
+        world = apply_type_annotations(world, {i: labels[rng.integers(3)] for i in ids})
+    pool = [
+        build_mention_sequence(
+            m, world.documents[m.context_document_id], toy_vocab, max_len, typed
+        )
+        for m in world.mentions[:20]
+    ] + [build_entity_sequence(e, toy_vocab, max_len, typed) for e in world.entities]
+    picked = rng.choice(len(pool), size=int(rng.integers(2, 10)), replace=False)
+    seqs = [pool[i] for i in picked]
+    cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=max_len,
+                        vocab_size=len(toy_vocab), seed=seed)
+    params = init_params(cfg)
+    slots = shared_slot_count(typed)
+
+    y, state = T.forward_pooled(params, cfg, seqs, kind, slots)
+    rows = [T.forward_pooled(params, cfg, [s], kind, slots) for s in seqs]
+    np.testing.assert_array_equal(y, np.concatenate([r[0] for r in rows]))
+
+    dy = rng.normal(size=y.shape)
+    for i, (_, row_state) in enumerate(rows):
+        only_row = np.zeros_like(dy)
+        only_row[i] = dy[i]
+        batched = T.backward_pooled(state, only_row)
+        alone = T.backward_pooled(row_state, dy[i : i + 1])
+        for name in batched:
+            np.testing.assert_array_equal(batched[name], alone[name], err_msg=name)
