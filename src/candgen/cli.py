@@ -187,6 +187,11 @@ def cmd_retrieve(args):
     index = retrieval.load_index(args.index)
     if args.k > len(index.entity_ids):
         raise SystemExit(f"--k {args.k} exceeds index size {len(index.entity_ids)}")
+    if index.pooling_kind != args.pooling:
+        raise SystemExit(
+            f"index {args.index} was built with pooling {index.pooling_kind!r}, "
+            f"but retrieve was given --pooling {args.pooling}"
+        )
     mentions = _typed(args, World("", [], {}, load_mentions(args.mentions))).mentions
     documents = documents_from_entities(load_entities(args.documents, world="_"))
     vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")

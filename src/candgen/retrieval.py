@@ -3,11 +3,27 @@
 The dictionary of one world is embedded once; queries then run a brute
 force scan under dot product, cosine similarity, or euclidean distance.
 Ties are broken by ascending entity id so results are deterministic.
+
+A query scores every row with one matrix-vector product, then selects
+instead of sorting: ``np.partition`` finds the K-th best key, and the
+shortlist keeps every row whose key ties with or beats it (the tie
+closure), so a row tied with the K-th is never cut off by its position.
+Only the shortlist is sorted, by score and then entity id. For euclidean
+distance the key is |m|**2 - 2 m.q, which ranks rows like the distance
+but carries rounding error; the shortlist is widened by a proven bound on
+that error (see ``_euclidean_margin``) and its rows are rescored with the
+exact ``norm(m - q)``. Every returned score has the same bits as a full
+scan with ``m @ q``, ``(m @ q) / (norms * |q|)`` or ``norm(m - q, axis=1)``.
+
+Row norms, used by cosine and euclidean, are computed on first use and
+memoised on the ``EmbeddingIndex``, so its ``matrix`` must not be changed
+after construction.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,6 +40,7 @@ COSINE = "cosine"
 EUCLIDEAN = "euclidean"
 ALL_METRICS = (DOT, COSINE, EUCLIDEAN)
 EMBED_CHUNK = 64  # sequences per encoder forward pass
+NORM_BLOCK = 2048  # rows per block when computing the memoised row norms
 
 
 class RetrievalError(ValueError):
@@ -39,8 +56,12 @@ class EmbeddingIndex:
     world: str = ""
 
     _id_rank: np.ndarray = field(init=False, repr=False)
+    _norms: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        # C order keeps each row's reduction in norm(m[rows] - q, axis=1) the
+        # same as in a full scan, so rescored scores match it bit for bit.
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if len(self.entity_ids) != self.matrix.shape[0]:
             raise RetrievalError("entity ids not aligned with matrix rows")
         if not np.isfinite(self.matrix).all():
@@ -48,6 +69,21 @@ class EmbeddingIndex:
         order = sorted(range(len(self.entity_ids)), key=lambda i: self.entity_ids[i])
         self._id_rank = np.empty(len(order), dtype=np.int64)
         self._id_rank[order] = np.arange(len(order))
+
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of every row, computed on first use and kept.
+
+        Blocks of ``NORM_BLOCK`` rows give the same bits as one call over the
+        whole matrix without its (N, P) temporary.
+        """
+        if self._norms is None:
+            m = self.matrix
+            self._norms = np.empty(m.shape[0])
+            for i in range(0, m.shape[0], NORM_BLOCK):
+                self._norms[i : i + NORM_BLOCK] = np.linalg.norm(
+                    m[i : i + NORM_BLOCK], axis=1
+                )
+        return self._norms
 
 
 @dataclass
@@ -73,19 +109,35 @@ def similarity(a: np.ndarray, b: np.ndarray, metric: str) -> float:
     raise RetrievalError(f"unknown metric {metric!r}")
 
 
-def _score_all(index: EmbeddingIndex, query: np.ndarray, metric: str) -> np.ndarray:
-    m = index.matrix
-    if metric == DOT:
-        return m @ query
-    if metric == COSINE:
-        qn = np.linalg.norm(query)
-        norms = np.linalg.norm(m, axis=1)
-        if qn == 0.0 or (norms == 0.0).any():
-            raise RetrievalError("cosine similarity undefined for a zero vector")
-        return (m @ query) / (norms * qn)
-    if metric == EUCLIDEAN:
-        return np.linalg.norm(m - query, axis=1)
-    raise RetrievalError(f"unknown metric {metric!r}")
+# Euclidean shortlist margin. The shortlist key is s_i = fl(n_i**2) -
+# 2 fl(m_i . q), with n_i the memoised row norm; exactly, t_i = |m_i|**2 -
+# 2 m_i . q = |m_i - q|**2 - |q|**2. Let u = 2**-53, P the width, g = (P+8)u /
+# (1 - (P+8)u) and R = max_i n_i + |q|. The dot-product error bound
+# |fl(x . y) - x . y| <= g |x| . |y| (Higham, Accuracy and Stability of
+# Numerical Algorithms, sec. 3.1; it holds for any summation order, FMA or not)
+# gives
+#   (a) |s_i - t_i| <= E = g R**2: the norm, its square, the GEMV and the
+#       subtraction are at most P+4 roundings of terms bounded by R**2;
+#   (b) the rescored d_i = fl(norm(fl(m_i - q))) has d_i**2 = |m_i - q|**2
+#       (1 + th) with |th| <= g: one subtraction and one square per entry,
+#       P-1 additions, one square root.
+# Let T be the K-th smallest key. The K rows with s <= T have exact t <= T + E,
+# so the K-th smallest rescored distance d_K has d_K**2 <= (1+g) X with
+# X = T + E + |q|**2 <= (1 + 2g) R**2, since |m - q| <= R. By (b) a row j with
+# d_j <= d_K has t_j <= (1+g)/(1-g) X - |q|**2 <= T + E + 2.01 g R**2, and by
+# (a) s_j <= T + 4.01 g R**2. Keeping every row with s <= T + 5 g R**2 thus
+# keeps every row that ties with or beats d_K; the spare g R**2 covers the
+# rounding of R and of T + margin and, while the margin is a normal float,
+# every product or square that underflowed (each is off by under 2**-1074).
+# Outside that range the margin is infinite and every row is rescored.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _euclidean_margin(norms: np.ndarray, query: np.ndarray) -> float:
+    w = (len(query) + 8) * _UNIT_ROUNDOFF
+    r = float(norms.max()) + float(np.linalg.norm(query))
+    margin = 5.0 * w / (1.0 - w) * r * r
+    return margin if np.finfo(np.float64).tiny <= margin < np.inf else np.inf
 
 
 def top_k(
@@ -94,21 +146,46 @@ def top_k(
 ) -> RetrievalResult:
     """Exact K best entities under the metric, ties by ascending entity id."""
     metric = metric or index.metric
-    n = index.matrix.shape[0]
+    m = index.matrix
+    n = m.shape[0]
     if k > n:
         raise RetrievalError(f"K={k} exceeds index size {n}")
+    if k < 1:
+        raise RetrievalError(f"K={k} must be at least 1")
     query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.matrix.shape[1],):
+    if query.shape != (m.shape[1],):
         raise RetrievalError(
-            f"query dimension {query.shape} does not match index width "
-            f"{index.matrix.shape[1]}"
+            f"query dimension {query.shape} does not match index width {m.shape[1]}"
         )
-    scores = _score_all(index, query, metric)
-    key = scores if metric == EUCLIDEAN else -scores
-    order = np.lexsort((index._id_rank, key))[:k]
+    if metric == DOT:
+        scores = m @ query
+        key = -scores
+    elif metric == COSINE:
+        qn, norms = np.linalg.norm(query), index.row_norms()
+        if qn == 0.0 or (norms == 0.0).any():
+            raise RetrievalError("cosine similarity undefined for a zero vector")
+        scores = (m @ query) / (norms * qn)
+        key = -scores
+    elif metric == EUCLIDEAN:
+        norms = index.row_norms()
+        key = norms * norms - 2.0 * (m @ query)
+    else:
+        raise RetrievalError(f"unknown metric {metric!r}")
+    bound = np.partition(key, k - 1)[k - 1]
+    if metric == EUCLIDEAN:
+        bound += _euclidean_margin(norms, query)
+    # Tie closure: every row whose key ties with the K-th stays. A NaN key
+    # (from a non-finite query) is never above the bound, so it stays too and
+    # sorts last, as in a full sort.
+    rows = np.flatnonzero(~(key > bound))
+    if metric == EUCLIDEAN:
+        key = scores = np.linalg.norm(m[rows] - query, axis=1)
+    else:
+        scores, key = scores[rows], key[rows]
+    best = np.lexsort((index._id_rank[rows], key))[:k]
     return RetrievalResult(
         mention_id=mention_id,
-        candidates=[(index.entity_ids[i], float(scores[i])) for i in order],
+        candidates=[(index.entity_ids[rows[i]], float(scores[i])) for i in best],
     )
 
 
@@ -181,9 +258,18 @@ def load_index(prefix: str) -> EmbeddingIndex:
     with open(prefix + ".mat", "rb") as f:
         if f.read(len(_MAT_MAGIC)) != _MAT_MAGIC:
             raise RetrievalError(f"{prefix}.mat: not an index matrix file")
-        rows, cols = struct.unpack("<QQ", f.read(16))
-        matrix = np.frombuffer(f.read(rows * cols * 8), dtype="<f8").astype(np.float64)
-        matrix = matrix.reshape(rows, cols)
+        header = f.read(16)
+        if len(header) != 16:
+            raise RetrievalError(f"{prefix}.mat: truncated shape header")
+        rows, cols = struct.unpack("<QQ", header)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != rows * cols * 8:
+            raise RetrievalError(
+                f"{prefix}.mat: header promises a {rows}x{cols} float64 matrix "
+                f"({rows * cols * 8} bytes) but the file holds {size} bytes"
+            )
+        matrix = np.fromfile(f, dtype="<f8", count=rows * cols)
+        matrix = matrix.astype(np.float64, copy=False).reshape(rows, cols)
     meta = {"metric": DOT, "pooling": pooling.CLS, "world": ""}
     try:
         with open(prefix + ".meta", encoding="utf-8") as f:

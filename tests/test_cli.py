@@ -130,6 +130,19 @@ def test_k_larger_than_world_rejected(pipeline, toy_files, capsys):
     assert code != 0
 
 
+def test_retrieve_rejects_index_of_other_pooling(pipeline, toy_files, capsys):
+    out = str(pipeline["out"] / "cls.tsv")
+    code = main(["retrieve", "--index", pipeline["index"],
+                 "--checkpoint", os.path.join(pipeline["model"], "mention.ckpt"),
+                 "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+                 "--vocab", pipeline["vocab"], "--k", "5", "--pooling", "cls",
+                 "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'avg'" in err and "--pooling cls" in err
+    assert not os.path.exists(out)
+
+
 def test_missing_input_file_fails(tmp_path):
     code = main(["train-bpe", "--input", str(tmp_path / "absent.txt"),
                  "--vocab-size", "100", "--out", str(tmp_path / "v")])

@@ -1,19 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candgen import retrieval as R
 from candgen.encoder import EncoderConfig, init_params
 from candgen.templates import shared_slot_count
 
 
-def brute_force_top_k(ids, matrix, query, k, metric):
-    """Independent full-sort oracle, same tie-breaking rule."""
-    scored = []
-    for eid, row in zip(ids, matrix):
-        scored.append((eid, R.similarity(row, query, metric)))
+def brute_force_pairs(ids, matrix, query, metric):
+    """Independent full-sort oracle: every row scored on its own, ties by id."""
+    scored = [(eid, R.similarity(row, query, metric)) for eid, row in zip(ids, matrix)]
     reverse = metric != R.EUCLIDEAN
     scored.sort(key=lambda t: ((-t[1] if reverse else t[1]), t[0]))
-    return [eid for eid, _ in scored[:k]]
+    return scored
+
+
+def brute_force_top_k(ids, matrix, query, k, metric):
+    """Independent full-sort oracle, same tie-breaking rule."""
+    return [eid for eid, _ in brute_force_pairs(ids, matrix, query, metric)[:k]]
+
+
+def full_scan_scores(matrix, query, metric):
+    """Every row's score as one scan over the whole matrix computes it."""
+    if metric == R.DOT:
+        return matrix @ query
+    if metric == R.COSINE:
+        return (matrix @ query) / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(query))
+    return np.linalg.norm(matrix - query, axis=1)
+
+
+def full_sort_top_k(ids, matrix, query, k, metric):
+    """First k (id, score) pairs of every row sorted by full-scan score, then id."""
+    scores = full_scan_scores(matrix, query, metric)
+    sign = 1.0 if metric == R.EUCLIDEAN else -1.0
+    order = sorted(range(len(ids)), key=lambda i: (sign * scores[i], ids[i]))
+    return [(ids[i], float(scores[i])) for i in order[:k]]
 
 
 def make_index(rng, n=50, p=8):
@@ -189,3 +211,123 @@ def test_misaligned_index_rejected():
         R.EmbeddingIndex(["e1"], np.ones((2, 2)))
     with pytest.raises(R.RetrievalError):
         R.EmbeddingIndex(["e1"], np.array([[np.nan, 1.0]]))
+
+
+def _planted(seed, n, p, family, metric, k):
+    """An index whose row at position k (or just before it) has copies ranked
+    after k, so a tie group straddles the cut; ids are shuffled so that ties
+    must be broken by id, not by row position. ``near_ties`` rows and query
+    are one base vector x 1e4 plus noise x 1e-3."""
+    rng = np.random.default_rng(seed)
+    ids = [f"e{i:04d}" for i in rng.permutation(n)]
+    if family == "near_ties":
+        base = rng.normal(size=p)
+        matrix = base * 1e4 + rng.normal(size=(n, p)) * 1e-3
+        query = base * 1e4 + rng.normal(size=p) * 1e-3
+    else:
+        matrix = rng.normal(size=(n, p))
+        query = matrix[rng.integers(n)].copy() if rng.random() < 0.3 else rng.normal(size=p)
+    if k < n:
+        order = [i for i, _ in full_sort_top_k(list(range(n)), matrix, query, n, metric)]
+        source = order[rng.integers(max(0, k - 3), k)]
+        after = order[k:]
+        copies = rng.choice(after, size=rng.integers(1, len(after) + 1), replace=False)
+        matrix[copies] = matrix[source]
+    return ids, matrix, query
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=60),
+    p=st.integers(min_value=1, max_value=16),
+    family=st.sampled_from(["duplicates", "near_ties"]),
+)
+def test_top_k_equals_full_sort(seed, n, p, family):
+    for metric in R.ALL_METRICS:
+        for k in sorted({1, (n + 1) // 2, n}):
+            ids, matrix, query = _planted(seed, n, p, family, metric, k)
+            got = R.top_k(R.EmbeddingIndex(ids, matrix), query, k, metric).candidates
+            assert got == full_sort_top_k(ids, matrix, query, k, metric)
+            # The per-row oracle rounds differently from the matrix-vector
+            # product, which can even give two identical rows scores one ulp
+            # apart, so it may order rounding-level ties differently: its ids
+            # are not compared, only its scores, rank by rank and id by id.
+            want = brute_force_pairs(ids, matrix, query, metric)
+            own = dict(want)
+            for (eid, a), (_, b) in zip(got, want):
+                assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+                assert a == pytest.approx(own[eid], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", R.ALL_METRICS)
+def test_scores_are_the_full_scan_bits(metric):
+    rng = np.random.default_rng(16)
+    index = make_index(rng, n=R.NORM_BLOCK + 300, p=12)  # norms from two blocks
+    row = {eid: i for i, eid in enumerate(index.entity_ids)}
+    for _ in range(3):
+        q = rng.normal(size=12)
+        full = full_scan_scores(index.matrix, q, metric)
+        for eid, score in R.top_k(index, q, 40, metric).candidates:
+            assert score == full[row[eid]]
+
+
+def test_row_norms_are_lazy_and_memoised():
+    rng = np.random.default_rng(17)
+    index = make_index(rng, n=30, p=4)
+    R.top_k(index, rng.normal(size=4), 5, R.DOT)
+    assert index._norms is None
+    norms = index.row_norms()
+    assert index.row_norms() is norms
+    np.testing.assert_array_equal(norms, np.linalg.norm(index.matrix, axis=1))
+
+
+def test_non_c_order_matrix_scored_like_c_order():
+    rng = np.random.default_rng(18)
+    c_order = make_index(rng, n=40, p=9)
+    f_order = R.EmbeddingIndex(list(c_order.entity_ids), np.asfortranarray(c_order.matrix))
+    assert f_order.matrix.flags.c_contiguous
+    q = rng.normal(size=9)
+    for metric in R.ALL_METRICS:
+        assert (R.top_k(f_order, q, 40, metric).candidates
+                == R.top_k(c_order, q, 40, metric).candidates)
+
+
+def test_cosine_zero_vectors_rejected_on_every_call():
+    index = R.EmbeddingIndex(["e1", "e2"], np.array([[1.0, 0.0], [0.0, 2.0]]))
+    for _ in range(2):
+        with pytest.raises(R.RetrievalError, match="zero vector"):
+            R.top_k(index, np.zeros(2), 1, R.COSINE)
+    assert R.top_k(index, np.array([1.0, 0.0]), 1, R.COSINE).candidates == [("e1", 1.0)]
+
+    zero_row = R.EmbeddingIndex(["e1", "e2"], np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(R.RetrievalError, match="zero vector"):
+        R.top_k(zero_row, np.ones(2), 1, R.COSINE)
+    assert R.top_k(zero_row, np.ones(2), 1, R.EUCLIDEAN).candidates[0][0] == "e1"
+    with pytest.raises(R.RetrievalError, match="zero vector"):  # norms now memoised
+        R.top_k(zero_row, np.ones(2), 1, R.COSINE)
+
+
+def test_unknown_metric_and_bad_k_rejected():
+    index = R.EmbeddingIndex(["e1", "e2"], np.eye(2))
+    for _ in range(2):
+        with pytest.raises(R.RetrievalError, match="unknown metric"):
+            R.top_k(index, np.ones(2), 1, "manhattan")
+    for k in (0, -1):
+        with pytest.raises(R.RetrievalError, match="at least 1"):
+            R.top_k(index, np.ones(2), k, R.DOT)
+
+
+@pytest.mark.parametrize("change", [-8, 8, -20])
+def test_index_with_wrong_matrix_size_rejected(tmp_path, change):
+    index = make_index(np.random.default_rng(19), n=5, p=3)
+    prefix = str(tmp_path / "idx")
+    R.save_index(index, prefix)
+    with open(prefix + ".mat", "rb") as f:
+        data = f.read()
+    # -8: one value short; +8: one value extra; -20: the body and half the header gone
+    data = data[:change] if change < 0 else data + bytes(change)
+    with open(prefix + ".mat", "wb") as f:
+        f.write(data)
+    with pytest.raises(R.RetrievalError, match="idx.mat"):
+        R.load_index(prefix)
