@@ -1,16 +1,20 @@
 """Small pre-layer-norm transformer encoder with hand-written backprop.
 
 Two independent instances of this encoder embed mention and entity
-sequences. Everything runs in float64 numpy; the backward pass returns a
-gradient for every parameter tensor so the whole model can be checked
-against finite differences.
+sequences. Everything runs in float64 numpy. An encoder's parameters are
+one flat vector whose layout only this module knows: ``param_shapes``
+lists the tensors in order and ``param_views`` names their slices.
+``backward`` returns one flat gradient in the same layout, checked
+against finite differences and applied by one vectorised AdamW step.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,62 +35,63 @@ class EncoderConfig:
     ff_dim: int = 256
     max_len: int = 32
     vocab_size: int = 0
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.dim, self.heads, self.ff_dim) < 1 or self.layers < 0:
+            raise EncoderError("dim, heads and ff_dim must be positive, layers not negative")
         if self.dim % self.heads != 0:
             raise EncoderError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.max_len < 4:
             raise EncoderError("max_len must be at least 4")
-        if not 0.0 <= self.dropout < 1.0:
-            raise EncoderError("dropout must be in [0, 1)")
         if self.vocab_size <= 0:
             raise EncoderError("vocab_size must be positive")
 
 
-def param_names(config: EncoderConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb"]
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter tensor's shape, in layout (and checkpoint) order."""
+    d, f = config.dim, config.ff_dim
+    shapes = {"tok_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
     for i in range(config.layers):
-        names += [
-            f"l{i}.ln1.g", f"l{i}.ln1.b",
-            f"l{i}.attn.wq", f"l{i}.attn.bq",
-            f"l{i}.attn.wk", f"l{i}.attn.bk",
-            f"l{i}.attn.wv", f"l{i}.attn.bv",
-            f"l{i}.attn.wo", f"l{i}.attn.bo",
-            f"l{i}.ln2.g", f"l{i}.ln2.b",
-            f"l{i}.ffn.w1", f"l{i}.ffn.b1",
-            f"l{i}.ffn.w2", f"l{i}.ffn.b2",
-        ]
-    return names
+        for name, shape in (
+            ("ln1.g", (d,)), ("ln1.b", (d,)),
+            ("attn.wq", (d, d)), ("attn.bq", (d,)), ("attn.wk", (d, d)), ("attn.bk", (d,)),
+            ("attn.wv", (d, d)), ("attn.bv", (d,)), ("attn.wo", (d, d)), ("attn.bo", (d,)),
+            ("ln2.g", (d,)), ("ln2.b", (d,)),
+            ("ffn.w1", (d, f)), ("ffn.b1", (f,)), ("ffn.w2", (f, d)), ("ffn.b2", (d,)),
+        ):
+            shapes[f"l{i}.{name}"] = shape
+    return shapes
 
 
-def init_params(config: EncoderConfig) -> dict[str, np.ndarray]:
+def param_count(config: EncoderConfig) -> int:
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
+
+
+def param_views(flat: np.ndarray, config: EncoderConfig) -> dict[str, np.ndarray]:
+    """Named views into a parameter (or gradient) vector; writing to a view
+    writes to the vector."""
+    shapes = param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if flat.shape != (sum(sizes),):
+        raise EncoderError(f"expected {sum(sizes)} parameters in a vector, got {flat.shape}")
+    views, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
+
+
+def init_params(config: EncoderConfig) -> np.ndarray:
     """Scaled-normal (std 0.02) weights, unit layer-norm scales, zero offsets."""
     rng = np.random.default_rng(config.seed)
-    d, f = config.dim, config.ff_dim
-
-    def w(*shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
-    params: dict[str, np.ndarray] = {
-        "tok_emb": w(config.vocab_size, d),
-        "pos_emb": w(config.max_len, d),
-    }
-    for i in range(config.layers):
-        params[f"l{i}.ln1.g"] = np.ones(d)
-        params[f"l{i}.ln1.b"] = np.zeros(d)
-        for proj in ("wq", "wk", "wv", "wo"):
-            params[f"l{i}.attn.{proj}"] = w(d, d)
-        for bias in ("bq", "bk", "bv", "bo"):
-            params[f"l{i}.attn.{bias}"] = np.zeros(d)
-        params[f"l{i}.ln2.g"] = np.ones(d)
-        params[f"l{i}.ln2.b"] = np.zeros(d)
-        params[f"l{i}.ffn.w1"] = w(d, f)
-        params[f"l{i}.ffn.b1"] = np.zeros(f)
-        params[f"l{i}.ffn.w2"] = w(f, d)
-        params[f"l{i}.ffn.b2"] = np.zeros(d)
-    return params
+    flat = np.zeros(param_count(config))
+    for name, view in param_views(flat, config).items():
+        if view.ndim == 2:
+            view[...] = rng.normal(0.0, 0.02, size=view.shape)
+        elif name.endswith(".g"):
+            view[...] = 1.0
+    return flat
 
 
 # -- primitive layers --------------------------------------------------------
@@ -136,14 +141,7 @@ def _merge_heads(x):
 # -- forward / backward ------------------------------------------------------
 
 
-def forward(
-    params: dict[str, np.ndarray],
-    config: EncoderConfig,
-    ids: np.ndarray,
-    attn_lens: np.ndarray,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-):
+def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray):
     """Run the encoder on a batch of id sequences.
 
     Returns (h, cache) where h is (B, n, D) with padding rows zeroed, so
@@ -163,23 +161,13 @@ def forward(
     real = np.arange(n)[None, :] < attn_lens[:, None]  # (B, n)
     attn_bias = np.where(real, 0.0, _NEG_INF)[:, None, None, :]
 
-    dropout = config.dropout if train else 0.0
-    if dropout > 0.0 and rng is None:
-        rng = np.random.default_rng(config.seed)
-
-    def drop(x):
-        if dropout == 0.0:
-            return x, None
-        mask = rng.random(x.shape) >= dropout
-        return x * mask / (1.0 - dropout), mask
-
-    x = params["tok_emb"][ids] + params["pos_emb"][None, :n, :]
-    x, emb_mask = drop(x)
+    views = param_views(params, config)
+    x = views["tok_emb"][ids] + views["pos_emb"][None, :n, :]
     scale = 1.0 / np.sqrt(config.dim // config.heads)
 
     layer_caches = []
     for i in range(config.layers):
-        p = lambda name: params[f"l{i}.{name}"]
+        p = lambda name: views[f"l{i}.{name}"]
         u, ln1_cache = _layernorm_forward(x, p("ln1.g"), p("ln1.b"))
         q = _split_heads(u @ p("attn.wq") + p("attn.bq"), config.heads)
         k = _split_heads(u @ p("attn.wk") + p("attn.bk"), config.heads)
@@ -188,99 +176,74 @@ def forward(
         scores -= scores.max(axis=-1, keepdims=True)
         e = np.exp(scores)
         probs = e / e.sum(axis=-1, keepdims=True)
-        probs_d, attn_mask = drop(probs)
-        ctx = _merge_heads(probs_d @ v)
-        att = ctx @ p("attn.wo") + p("attn.bo")
-        att, att_mask = drop(att)
-        a = x + att
+        ctx = _merge_heads(probs @ v)
+        a = x + (ctx @ p("attn.wo") + p("attn.bo"))
 
         w, ln2_cache = _layernorm_forward(a, p("ln2.g"), p("ln2.b"))
         f1 = w @ p("ffn.w1") + p("ffn.b1")
         act, gelu_t = _gelu(f1)
-        ff = act @ p("ffn.w2") + p("ffn.b2")
-        ff, ff_mask = drop(ff)
-        x_out = a + ff
-        if not np.isfinite(x_out).all():
+        x = a + (act @ p("ffn.w2") + p("ffn.b2"))
+        if not np.isfinite(x).all():
             raise EncoderError(f"non-finite activation in layer {i}")
         layer_caches.append(
-            dict(
-                x=x, u=u, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, probs_d=probs_d,
-                ctx=ctx, a=a, w=w, ln2=ln2_cache, f1=f1, act=act, gelu_t=gelu_t,
-                attn_mask=attn_mask, att_mask=att_mask, ff_mask=ff_mask,
-            )
+            dict(u=u, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx, w=w,
+                 ln2=ln2_cache, f1=f1, act=act, gelu_t=gelu_t)
         )
-        x = x_out
 
     h = x * real[:, :, None]
-    cache = dict(
-        ids=ids, real=real, layers=layer_caches, config=config, params=params,
-        emb_mask=emb_mask, dropout=dropout, scale=scale,
-    )
-    return h, cache
+    return h, dict(ids=ids, real=real, layers=layer_caches, config=config, views=views)
 
 
-def backward(cache: dict, dh: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagate an upstream (B, n, D) gradient to every parameter."""
+def backward(cache: dict, dh: np.ndarray) -> np.ndarray:
+    """Backpropagate an upstream (B, n, D) gradient to every parameter;
+    returns one flat gradient vector in the parameters' layout."""
     config: EncoderConfig = cache["config"]
     ids, real = cache["ids"], cache["real"]
     if dh.shape != (*ids.shape, config.dim):
         raise EncoderError(f"upstream gradient shape {dh.shape} mismatch")
-    dropout, scale = cache["dropout"], cache["scale"]
-    params = cache["params"]
-    grads: dict[str, np.ndarray] = {}
-
-    def undrop(dx, mask):
-        if dropout == 0.0:
-            return dx
-        return dx * mask / (1.0 - dropout)
+    params, scale = cache["views"], 1.0 / np.sqrt(config.dim // config.heads)
+    flat = np.zeros(param_count(config))
+    grads = param_views(flat, config)
 
     dx = dh * real[:, :, None]
     for i in reversed(range(config.layers)):
         c = cache["layers"][i]
         pre = f"l{i}."
-        dff = undrop(dx, c["ff_mask"])
-        grads[pre + "ffn.b2"] = dff.sum(axis=(0, 1))
-        grads[pre + "ffn.w2"] = np.einsum("bnf,bnd->fd", c["act"], dff)
-        dact = dff @ params[pre + "ffn.w2"].T
+        grads[pre + "ffn.b2"][...] = dx.sum(axis=(0, 1))
+        grads[pre + "ffn.w2"][...] = np.einsum("bnf,bnd->fd", c["act"], dx)
+        dact = dx @ params[pre + "ffn.w2"].T
         df1 = _gelu_backward(dact, c["f1"], c["gelu_t"])
-        grads[pre + "ffn.b1"] = df1.sum(axis=(0, 1))
-        grads[pre + "ffn.w1"] = np.einsum("bnd,bnf->df", c["w"], df1)
+        grads[pre + "ffn.b1"][...] = df1.sum(axis=(0, 1))
+        grads[pre + "ffn.w1"][...] = np.einsum("bnd,bnf->df", c["w"], df1)
         dw = df1 @ params[pre + "ffn.w1"].T
-        da_ln, dg2, db2 = _layernorm_backward(
+        da_ln, grads[pre + "ln2.g"][...], grads[pre + "ln2.b"][...] = _layernorm_backward(
             dw, params[pre + "ln2.g"], c["ln2"]
         )
-        grads[pre + "ln2.g"], grads[pre + "ln2.b"] = dg2, db2
         da = dx + da_ln
 
-        datt = undrop(da, c["att_mask"])
-        grads[pre + "attn.bo"] = datt.sum(axis=(0, 1))
-        grads[pre + "attn.wo"] = np.einsum("bnd,bne->de", c["ctx"], datt)
-        dctx = _split_heads(datt @ params[pre + "attn.wo"].T, config.heads)
-        dprobs_d = dctx @ c["v"].transpose(0, 1, 3, 2)
-        dv = c["probs_d"].transpose(0, 1, 3, 2) @ dctx
-        dprobs = undrop(dprobs_d, c["attn_mask"])
+        grads[pre + "attn.bo"][...] = da.sum(axis=(0, 1))
+        grads[pre + "attn.wo"][...] = np.einsum("bnd,bne->de", c["ctx"], da)
+        dctx = _split_heads(da @ params[pre + "attn.wo"].T, config.heads)
         probs = c["probs"]
+        dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
+        dv = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dq = dscores @ c["k"] * scale
         dk = dscores.transpose(0, 1, 3, 2) @ c["q"] * scale
         du = np.zeros_like(c["u"])
         for proj, dval in (("wq", dq), ("wk", dk), ("wv", dv)):
             dflat = _merge_heads(dval)
-            grads[pre + f"attn.{proj}"] = np.einsum("bnd,bne->de", c["u"], dflat)
-            grads[pre + "attn.b" + proj[1]] = dflat.sum(axis=(0, 1))
+            grads[pre + f"attn.{proj}"][...] = np.einsum("bnd,bne->de", c["u"], dflat)
+            grads[pre + "attn.b" + proj[1]][...] = dflat.sum(axis=(0, 1))
             du += dflat @ params[pre + f"attn.{proj}"].T
-        dx_ln, dg1, db1 = _layernorm_backward(
+        dx_ln, grads[pre + "ln1.g"][...], grads[pre + "ln1.b"][...] = _layernorm_backward(
             du, params[pre + "ln1.g"], c["ln1"]
         )
-        grads[pre + "ln1.g"], grads[pre + "ln1.b"] = dg1, db1
         dx = da + dx_ln
 
-    demb = undrop(dx, cache["emb_mask"])
-    grads["pos_emb"] = np.zeros((config.max_len, config.dim))
-    grads["pos_emb"][: demb.shape[1]] = demb.sum(axis=0)
-    grads["tok_emb"] = np.zeros((config.vocab_size, config.dim))
-    np.add.at(grads["tok_emb"], ids, demb)
-    return grads
+    grads["pos_emb"][: dx.shape[1]] = dx.sum(axis=0)
+    np.add.at(grads["tok_emb"], ids, dx)
+    return flat
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -288,35 +251,59 @@ def backward(cache: dict, dh: np.ndarray) -> dict[str, np.ndarray]:
 _CKPT_MAGIC = b"CGCKPT1\n"
 
 
-def save_checkpoint(path, config: EncoderConfig, params: dict[str, np.ndarray]):
-    """Binary checkpoint: JSON header (config + tensor manifest) then raw
-    little-endian float64 tensors in manifest order."""
-    names = param_names(config)
+def _manifest(config: EncoderConfig) -> list:
+    return [[name, list(shape)] for name, shape in param_shapes(config).items()]
+
+
+def save_checkpoint(path, config: EncoderConfig, params: np.ndarray):
+    """Binary checkpoint: JSON header (config + tensor manifest) then the
+    parameter vector as raw little-endian float64, in manifest order."""
+    param_views(params, config)  # rejects a vector of the wrong size
     header = json.dumps(
-        {
-            "config": asdict(config),
-            "tensors": [[name, list(params[name].shape)] for name in names],
-        },
-        sort_keys=True,
+        {"config": asdict(config), "tensors": _manifest(config)}, sort_keys=True
     ).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_CKPT_MAGIC)
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        for name in names:
-            f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(params, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path):
+def load_checkpoint(path) -> tuple[EncoderConfig, np.ndarray]:
+    """Read a checkpoint. Raise EncoderError naming the file unless the magic,
+    the header, its config fields, its manifest and the body size all hold."""
     with open(path, "rb") as f:
         if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise EncoderError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        config = EncoderConfig(**header["config"])
-        params = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape))
-            data = np.frombuffer(f.read(count * 8), dtype="<f8").astype(np.float64)
-            params[name] = data.reshape(shape)
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(8)
+        hlen = struct.unpack("<Q", head)[0] if len(head) == 8 else size
+        try:  # a cut header fails to parse; so does one that is not UTF-8 JSON
+            header = json.loads(f.read(hlen).decode("utf-8")) if hlen <= size else None
+        except ValueError:
+            header = None
+        if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+                and "tensors" in header):
+            raise EncoderError(f"{path}: truncated or malformed checkpoint header")
+        stored, names = header["config"], {fld.name for fld in fields(EncoderConfig)}
+        if set(stored) != names:
+            raise EncoderError(
+                f"{path}: config fields {sorted(stored)} are not {sorted(names)}; "
+                "a checkpoint from another version must be retrained"
+            )
+        try:
+            if any(type(v) is not int for v in stored.values()):
+                raise EncoderError("config values must be integers")
+            config = EncoderConfig(**stored)
+        except EncoderError as e:
+            raise EncoderError(f"{path}: {e}") from None
+        if header["tensors"] != _manifest(config):
+            raise EncoderError(f"{path}: tensor manifest does not match its config")
+        count, body = param_count(config), size - f.tell()
+        if body != 8 * count:
+            raise EncoderError(
+                f"{path}: header promises {count} float64 parameters ({8 * count} "
+                f"bytes) but the body holds {body} bytes"
+            )
+        params = np.fromfile(f, dtype="<f8", count=count).astype(np.float64, copy=False)
     return config, params

@@ -7,7 +7,7 @@ plottable) and both micro (pooled) and macro (mean of worlds) numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .retrieval import RetrievalResult
 
@@ -25,9 +25,6 @@ class EvalReport:
     macro_by_k: dict[int, float]
     mention_count: int
     metric: str = ""
-    pooling_kind: str = ""
-    use_entity_type: bool = False
-    extra: dict = field(default_factory=dict)
 
     def curve(self) -> list[tuple[int, float]]:
         return sorted(self.accuracy_by_k.items())
@@ -59,8 +56,6 @@ def build_report(
     world_of_mention: dict[str, str],
     ks=DEFAULT_K_GRID,
     metric: str = "",
-    pooling_kind: str = "",
-    use_entity_type: bool = False,
 ) -> EvalReport:
     ks = sorted(set(int(k) for k in ks))
     by_world: dict[str, list[RetrievalResult]] = {}
@@ -80,8 +75,6 @@ def build_report(
         macro_by_k=macro,
         mention_count=len(results),
         metric=metric,
-        pooling_kind=pooling_kind,
-        use_entity_type=use_entity_type,
     )
 
 
@@ -90,8 +83,6 @@ def write_report(report: EvalReport, report_path, curve_path) -> None:
     lines = [
         ("mention_count", str(report.mention_count)),
         ("metric", report.metric),
-        ("pooling", report.pooling_kind),
-        ("entity_type", str(report.use_entity_type).lower()),
     ]
     for k, acc in report.curve():
         lines.append((f"accuracy@{k}", f"{acc:.6f}"))
@@ -100,8 +91,6 @@ def write_report(report: EvalReport, report_path, curve_path) -> None:
     for world in sorted(report.per_world):
         for k, acc in sorted(report.per_world[world].items()):
             lines.append((f"world.{world}.accuracy@{k}", f"{acc:.6f}"))
-    for key, value in sorted(report.extra.items()):
-        lines.append((key, str(value)))
     with open(report_path, "w", encoding="utf-8") as f:
         for key, value in lines:
             f.write(f"{key}\t{value}\n")

@@ -51,7 +51,6 @@ class RetrievalError(ValueError):
 class EmbeddingIndex:
     entity_ids: list[str]
     matrix: np.ndarray  # (N, P)
-    metric: str = DOT
     pooling_kind: str = pooling.CLS
     world: str = ""
 
@@ -141,11 +140,9 @@ def _euclidean_margin(norms: np.ndarray, query: np.ndarray) -> float:
 
 
 def top_k(
-    index: EmbeddingIndex, query: np.ndarray, k: int, metric: str | None = None,
-    mention_id: str = "",
+    index: EmbeddingIndex, query: np.ndarray, k: int, metric: str, mention_id: str = ""
 ) -> RetrievalResult:
     """Exact K best entities under the metric, ties by ascending entity id."""
-    metric = metric or index.metric
     m = index.matrix
     n = m.shape[0]
     if k > n:
@@ -191,14 +188,13 @@ def top_k(
 
 def build_index(
     entities,
-    params_e: dict[str, np.ndarray],
+    params_e: np.ndarray,
     enc_cfg: EncoderConfig,
     vocab,
     pooling_kind: str,
     slot_count: int | None = None,
     use_entity_type: bool = False,
     world: str = "",
-    metric: str = DOT,
     workers: int = 1,
 ) -> EmbeddingIndex:
     """Embed every dictionary entry once; one matrix row per entity."""
@@ -223,7 +219,6 @@ def build_index(
     return EmbeddingIndex(
         entity_ids=[e.entity_id for e in entities],
         matrix=matrix,
-        metric=metric,
         pooling_kind=pooling_kind,
         world=world,
     )
@@ -245,10 +240,7 @@ def save_index(index: EmbeddingIndex, prefix: str) -> None:
         f.write(struct.pack("<QQ", *index.matrix.shape))
         f.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
     with open(prefix + ".meta", "w", encoding="utf-8") as f:
-        json.dump(
-            {"metric": index.metric, "pooling": index.pooling_kind, "world": index.world},
-            f, sort_keys=True,
-        )
+        json.dump({"pooling": index.pooling_kind, "world": index.world}, f, sort_keys=True)
         f.write("\n")
 
 
@@ -270,13 +262,12 @@ def load_index(prefix: str) -> EmbeddingIndex:
             )
         matrix = np.fromfile(f, dtype="<f8", count=rows * cols)
         matrix = matrix.astype(np.float64, copy=False).reshape(rows, cols)
-    meta = {"metric": DOT, "pooling": pooling.CLS, "world": ""}
+    meta = {"pooling": pooling.CLS, "world": ""}
     try:
         with open(prefix + ".meta", encoding="utf-8") as f:
             meta.update(json.load(f))
     except FileNotFoundError:
         pass
     return EmbeddingIndex(
-        entity_ids=entity_ids, matrix=matrix, metric=meta["metric"],
-        pooling_kind=meta["pooling"], world=meta["world"],
+        entity_ids=entity_ids, matrix=matrix, pooling_kind=meta["pooling"], world=meta["world"]
     )

@@ -74,7 +74,6 @@ def build_mention_sequence(
     vocab: Vocabulary,
     max_len: int,
     use_entity_type: bool = False,
-    repeat_surface: bool = True,
 ) -> TokenSequence:
     """Build the mention-side sequence with symmetric context truncation.
 
@@ -98,7 +97,7 @@ def build_mention_sequence(
     budget -= len(body)
 
     prefix_ids: list[int] = []
-    if use_entity_type and repeat_surface:
+    if use_entity_type:
         prefix_ids = mention_ids[:budget]
         budget -= len(prefix_ids)
     n_left, n_right = _split_context_budget(budget, len(left_ids), len(right_ids))

@@ -39,7 +39,6 @@ class TrainConfig:
     seed: int = 0
     pooling_kind: str = pooling.CLS
     use_entity_type: bool = False
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -51,12 +50,6 @@ class TrainConfig:
                 raise TrainingError("Adam betas must lie in (0, 1)")
         if self.pooling_kind not in pooling.ALL_KINDS:
             raise TrainingError(f"unknown pooling kind {self.pooling_kind!r}")
-
-
-def pair_score(y_m: np.ndarray, y_e: np.ndarray) -> float:
-    if y_m.shape != y_e.shape:
-        raise TrainingError(f"dimension mismatch: {y_m.shape} vs {y_e.shape}")
-    return float(np.dot(y_m, y_e))
 
 
 def inbatch_loss(scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -86,35 +79,29 @@ def linear_lr(base_lr: float, step: int, total_steps: int) -> float:
 
 
 class AdamW:
-    """Adam with decoupled weight decay: decay acts on the weights directly,
-    never through the gradient moments."""
+    """Adam with decoupled weight decay (decay acts on the weights directly,
+    never through the gradient moments), updating one vector in place."""
 
-    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig):
-        self.params = params
-        self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    def __init__(self, params: np.ndarray, cfg: TrainConfig):
+        self.params, self.cfg = params, cfg
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray], lr: float):
-        cfg = self.cfg
+    def step(self, grads: np.ndarray, lr: float):
+        cfg, p = self.cfg, self.params
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            p -= lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grads
+        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grads * grads
+        mhat = self.m / (1.0 - cfg.beta1**self.t)
+        vhat = self.v / (1.0 - cfg.beta2**self.t)
+        p -= lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
 
 
 # -- batched forward/backward through encoder + pooling ----------------------
 
 
 def forward_pooled(
-    params: dict[str, np.ndarray],
+    params: np.ndarray,
     enc_cfg: EncoderConfig,
     seqs: list[TokenSequence],
     kind: str,
@@ -133,20 +120,17 @@ def forward_pooled(
     return y, dict(cache=cache, weights=weights)
 
 
-def backward_pooled(state: dict, dY: np.ndarray) -> dict[str, np.ndarray]:
+def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
     return encoder.backward(state["cache"], pooling.backward_reduce(state["weights"], dY))
 
 
 def batch_loss_and_grads(
-    params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind,
-    slot_count=None, loss_scale: float = 1.0,
+    params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind, slot_count=None
 ):
-    """Full pipeline loss for one batch of gold pairs, plus all gradients."""
+    """Full pipeline loss for one batch of gold pairs, plus both flat gradients."""
     ym, state_m = forward_pooled(params_m, enc_cfg_m, mention_seqs, kind, slot_count)
     ye, state_e = forward_pooled(params_e, enc_cfg_e, entity_seqs, kind, slot_count)
     loss, dscores = inbatch_loss(ym @ ye.T)
-    loss *= loss_scale
-    dscores = dscores * loss_scale
     grads_m = backward_pooled(state_m, dscores @ ye)
     grads_e = backward_pooled(state_e, dscores.T @ ym)
     return loss, grads_m, grads_e
@@ -157,8 +141,8 @@ def batch_loss_and_grads(
 
 @dataclass
 class TrainResult:
-    params_m: dict[str, np.ndarray]
-    params_e: dict[str, np.ndarray]
+    params_m: np.ndarray
+    params_e: np.ndarray
     log_lines: list[str] = field(default_factory=list)
 
 
@@ -214,7 +198,7 @@ def train(
     step = 0
     log_lines: list[str] = []
     for epoch in range(train_cfg.epochs):
-        order = rng.permutation(n) if train_cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         lr = train_cfg.learning_rate
         for start in range(0, n, b):
@@ -265,19 +249,19 @@ def gradient_check(
     def total_loss():
         ym, _ = forward_pooled(params_m, enc_cfg_m, mention_seqs, kind, slot_count)
         ye, _ = forward_pooled(params_e, enc_cfg_e, entity_seqs, kind, slot_count)
-        loss, _ = inbatch_loss(ym @ ye.T)
-        return loss
+        return inbatch_loss(ym @ ye.T)[0]
 
     _, grads_m, grads_e = batch_loss_and_grads(
-        params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs,
-        kind, slot_count,
+        params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind, slot_count
     )
     rng = np.random.default_rng(seed)
     worst, worst_param, worst_side = 0.0, "", ""
-    for side, params, grads in (("mention", params_m, grads_m), ("entity", params_e, grads_e)):
-        for name, arr in params.items():
-            flat = arr.reshape(-1)
-            gflat = grads[name].reshape(-1)
+    for side, params, grads, cfg in (
+        ("mention", params_m, grads_m, enc_cfg_m), ("entity", params_e, grads_e, enc_cfg_e)
+    ):
+        gviews = encoder.param_views(grads, cfg)
+        for name, arr in encoder.param_views(params, cfg).items():
+            flat, gflat = arr.reshape(-1), gviews[name].reshape(-1)
             if samples_per_tensor is None or flat.size <= samples_per_tensor:
                 idxs = np.arange(flat.size)
             else:

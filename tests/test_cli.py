@@ -1,4 +1,5 @@
 import filecmp
+import json
 import os
 
 import pytest
@@ -141,6 +142,47 @@ def test_retrieve_rejects_index_of_other_pooling(pipeline, toy_files, capsys):
     err = capsys.readouterr().err
     assert "'avg'" in err and "--pooling cls" in err
     assert not os.path.exists(out)
+
+
+def test_retrieve_rejects_truncated_checkpoint(pipeline, toy_files, capsys):
+    cut = str(pipeline["out"] / "cut.ckpt")
+    with open(os.path.join(pipeline["model"], "mention.ckpt"), "rb") as f:
+        raw = f.read()
+    with open(cut, "wb") as f:
+        f.write(raw[:-8])
+    out = str(pipeline["out"] / "cut.tsv")
+    code = main(["retrieve", "--index", pipeline["index"], "--checkpoint", cut,
+                 "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+                 "--vocab", pipeline["vocab"], "--k", "5", "--pooling", "avg", "--out", out])
+    assert code == 1
+    assert cut in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_eval_report_states_only_what_it_knows(toy_files, tmp_path):
+    """A types-on run: the report carries no pooling or entity-type line,
+    which no caller ever filled in (they read '' and 'false' on every run)."""
+    vocab, model, index = (str(tmp_path / name) for name in ("v", "model", "index"))
+    types = ["--entity-types", toy_files["types"], "--pooling", "cls"]
+    run(["train-bpe", "--input", toy_files["entities"], toy_files["documents"],
+         "--vocab-size", "300", "--out", vocab])
+    run(["train", "--entities", toy_files["entities"], "--mentions", toy_files["mentions"],
+         "--documents", toy_files["documents"], "--vocab", vocab, "--out", model,
+         *types, *TINY])
+    run(["embed", "--entities", toy_files["entities"], "--vocab", vocab,
+         "--checkpoint", os.path.join(model, "entity.ckpt"), *types, "--out", index])
+    results, report = str(tmp_path / "results.tsv"), str(tmp_path / "eval")
+    run(["retrieve", "--index", index, "--checkpoint", os.path.join(model, "mention.ckpt"),
+         "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+         "--vocab", vocab, "--metric", "cosine", "--k", "5", *types, "--out", results])
+    run(["eval", "--results", results, "--mentions", toy_files["mentions"], "--ks", "1,5",
+         "--metric", "cosine", "--out", report])
+    with open(report + ".report") as f:
+        keys = [line.split("\t")[0] for line in f.read().splitlines()]
+    assert keys[:4] == ["mention_count", "metric", "accuracy@1", "accuracy@5"]
+    assert not {"pooling", "entity_type"} & set(keys)
+    with open(index + ".meta") as f:
+        assert "metric" not in json.load(f)
 
 
 def test_missing_input_file_fails(tmp_path):

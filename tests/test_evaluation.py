@@ -108,8 +108,7 @@ def test_write_report_files(tmp_path):
     rng = np.random.default_rng(8)
     results, gold = planted_results(rng, 10, 5, [1, 2, 3, 4, 5] * 2)
     worlds = {r.mention_id: "w" for r in results}
-    report = Ev.build_report(results, gold, worlds, ks=(1, 5), metric="dot",
-                             pooling_kind="avg")
+    report = Ev.build_report(results, gold, worlds, ks=(1, 5), metric="dot")
     rpath, cpath = tmp_path / "out.report", tmp_path / "out.curve"
     Ev.write_report(report, rpath, cpath)
     kv = dict(line.split("\t") for line in rpath.read_text().splitlines())

@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,7 +196,6 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab):
 def test_index_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     index = make_index(rng, n=7, p=3)
-    index.metric = R.COSINE
     index.pooling_kind = "avg"
     index.world = "toyworld"
     prefix = str(tmp_path / "idx")
@@ -203,7 +203,18 @@ def test_index_save_load_round_trip(tmp_path):
     loaded = R.load_index(prefix)
     assert loaded.entity_ids == index.entity_ids
     np.testing.assert_array_equal(loaded.matrix, index.matrix)
-    assert (loaded.metric, loaded.pooling_kind, loaded.world) == ("cosine", "avg", "toyworld")
+    assert (loaded.pooling_kind, loaded.world) == ("avg", "toyworld")
+
+
+def test_index_meta_records_no_metric_and_old_meta_loads(tmp_path):
+    prefix = str(tmp_path / "idx")
+    R.save_index(make_index(np.random.default_rng(16), n=4, p=2), prefix)
+    with open(prefix + ".meta") as f:
+        assert json.load(f) == {"pooling": "cls", "world": ""}
+    with open(prefix + ".meta", "w") as f:  # written before the metric key was dropped
+        json.dump({"metric": "dot", "pooling": "avg", "world": "w"}, f)
+    loaded = R.load_index(prefix)
+    assert (loaded.pooling_kind, loaded.world) == ("avg", "w")
 
 
 def test_misaligned_index_rejected():

@@ -48,16 +48,6 @@ def test_typed_mention_layout(char_vocab):
     assert seq.special_positions[1][1] == 1  # type token right after [CLS]
 
 
-def test_typed_mention_without_surface_repetition(char_vocab):
-    v = char_vocab
-    seq = build_mention_sequence(
-        mention(1, 1, entity_type="LOC"), ["a", "b", "c"], v, max_len=10,
-        use_entity_type=True, repeat_surface=False,
-    )
-    # no mention copy between the type token and [H_SEP]
-    assert seq.ids[2] == v.special_id("[H_SEP]")
-
-
 def test_long_context_truncation_balanced(char_vocab):
     v = char_vocab
     context = ["a"] * 500 + ["b"] + ["c"] * 499

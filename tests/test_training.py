@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from candgen import pooling
 from candgen import training as T
 from candgen.corpus import EntityRecord, MentionRecord, apply_type_annotations
-from candgen.encoder import EncoderConfig, init_params
+from candgen.encoder import EncoderConfig, init_params, param_views
 from candgen.templates import (
     build_entity_sequence,
     build_mention_sequence,
@@ -24,15 +24,6 @@ def reference_loss(scores):
     for i in range(b):
         total += -scores[i, i] + math.log(sum(math.exp(s) for s in scores[i]))
     return total / b
-
-
-def test_pair_score_examples():
-    assert T.pair_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert T.pair_score(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-    a, b = np.array([0.3, -1.2, 5.0]), np.array([2.0, 0.1, -0.4])
-    assert T.pair_score(a, b) == T.pair_score(b, a)
-    with pytest.raises(T.TrainingError):
-        T.pair_score(np.zeros(2), np.zeros(3))
 
 
 def test_loss_single_pair_is_zero():
@@ -108,24 +99,43 @@ def test_linear_schedule():
 def test_adamw_without_decay_is_plain_adam():
     cfg = T.TrainConfig(weight_decay=0.0, learning_rate=0.1)
     w = np.array([1.0, -2.0])
-    params = {"w": w.copy()}
+    params = w.copy()
     opt = T.AdamW(params, cfg)
     g = np.array([0.5, -0.25])
-    opt.step({"w": g}, lr=0.1)
+    opt.step(g, lr=0.1)
     # hand-rolled Adam step 1
     m = (1 - cfg.beta1) * g / (1 - cfg.beta1)
     v = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
     expected = w - 0.1 * m / (np.sqrt(v) + cfg.eps)
-    np.testing.assert_allclose(params["w"], expected, atol=1e-15)
+    np.testing.assert_allclose(params, expected, atol=1e-15)
 
 
 def test_adamw_decay_is_decoupled():
     cfg = T.TrainConfig(weight_decay=0.5, learning_rate=0.1)
-    params = {"w": np.array([2.0])}
+    params = np.array([2.0])
     opt = T.AdamW(params, cfg)
-    opt.step({"w": np.array([0.0])}, lr=0.1)
+    opt.step(np.array([0.0]), lr=0.1)
     # zero gradient: only the decay term acts on the weight
-    np.testing.assert_allclose(params["w"], [2.0 * (1 - 0.1 * 0.5)])
+    np.testing.assert_allclose(params, [2.0 * (1 - 0.1 * 0.5)])
+
+
+def test_adamw_vector_step_equals_per_tensor_steps():
+    """One update of the whole vector has the bits of updating every named
+    tensor on its own."""
+    cfg = T.TrainConfig(weight_decay=0.01, learning_rate=1e-2)
+    enc = EncoderConfig(dim=4, layers=1, heads=2, ff_dim=6, max_len=4, vocab_size=5, seed=2)
+    params = init_params(enc)
+    per_tensor = {k: v.copy() for k, v in param_views(params, enc).items()}
+    opts = {k: T.AdamW(v, cfg) for k, v in per_tensor.items()}
+    opt = T.AdamW(params, cfg)
+    rng = np.random.default_rng(4)
+    for step in range(3):
+        grads = rng.normal(size=params.shape)
+        opt.step(grads, lr=1e-2 / (step + 1))
+        for name, g in param_views(grads, enc).items():
+            opts[name].step(g, lr=1e-2 / (step + 1))
+    for name, view in param_views(params, enc).items():
+        np.testing.assert_array_equal(view, per_tensor[name], err_msg=name)
 
 
 def _tiny_pipeline(char_vocab, kind="cls", batch=2):
@@ -146,21 +156,12 @@ def _tiny_pipeline(char_vocab, kind="cls", batch=2):
     return cfg, params_m, params_e, mention_seqs, entity_seqs
 
 
-def test_doubling_loss_scale_doubles_gradients(char_vocab):
-    cfg, pm, pe, ms, es = _tiny_pipeline(char_vocab)
-    _, g1m, g1e = T.batch_loss_and_grads(pm, pe, cfg, cfg, ms, es, "cls")
-    _, g2m, g2e = T.batch_loss_and_grads(pm, pe, cfg, cfg, ms, es, "cls", loss_scale=2.0)
-    for k in g1m:
-        np.testing.assert_allclose(2 * g1m[k], g2m[k], atol=1e-14)
-        np.testing.assert_allclose(2 * g1e[k], g2e[k], atol=1e-14)
-
-
 def test_zero_upstream_means_zero_entity_gradients(char_vocab):
     cfg, pm, pe, ms, es = _tiny_pipeline(char_vocab)
     ye, state_e = T.forward_pooled(pe, cfg, es, "cls")
     grads = T.backward_pooled(state_e, np.zeros_like(ye))
-    for name, g in grads.items():
-        assert not g.any(), name
+    assert grads.shape == pe.shape
+    assert not grads.any()
 
 
 def test_gradient_check_tiny_model(char_vocab):
@@ -176,9 +177,8 @@ def test_training_deterministic(toy_world, toy_vocab):
     r1 = T.train(toy_world, toy_vocab, enc_cfg, tc)
     r2 = T.train(toy_world, toy_vocab, enc_cfg, tc)
     assert r1.log_lines == r2.log_lines
-    for name in r1.params_m:
-        np.testing.assert_array_equal(r1.params_m[name], r2.params_m[name])
-        np.testing.assert_array_equal(r1.params_e[name], r2.params_e[name])
+    np.testing.assert_array_equal(r1.params_m, r2.params_m)
+    np.testing.assert_array_equal(r1.params_e, r2.params_e)
 
 
 def test_encoders_trained_independently(toy_world, toy_vocab):
@@ -186,10 +186,8 @@ def test_encoders_trained_independently(toy_world, toy_vocab):
                             vocab_size=len(toy_vocab))
     tc = T.TrainConfig(epochs=1, learning_rate=1e-3, seed=5)
     r = T.train(toy_world, toy_vocab, enc_cfg, tc)
-    diffs = [
-        not np.array_equal(r.params_m[name], r.params_e[name]) for name in r.params_m
-    ]
-    assert any(diffs)
+    assert not np.array_equal(r.params_m, r.params_e)
+    assert not np.shares_memory(r.params_m, r.params_e)
 
 
 def test_collision_logged(toy_world, toy_vocab, caplog):
@@ -251,5 +249,4 @@ def test_batched_pooling_equals_row_by_row(toy_world, toy_vocab, kind, typed, ma
         only_row[i] = dy[i]
         batched = T.backward_pooled(state, only_row)
         alone = T.backward_pooled(row_state, dy[i : i + 1])
-        for name in batched:
-            np.testing.assert_array_equal(batched[name], alone[name], err_msg=name)
+        np.testing.assert_array_equal(batched, alone)
