@@ -25,6 +25,7 @@ from .corpus import (
     load_entity_type_annotations,
     load_mentions,
     validate_mentions,
+    validate_spans,
 )
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
 from .templates import build_mention_sequence, shared_slot_count
@@ -64,30 +65,75 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _types_enabled(args) -> bool:
-    return bool(args.entity_types) and args.entity_types != "off"
+def _types_file(args) -> str | None:
+    """The --entity-types annotation file, or None when types are off."""
+    if args.entity_types and args.entity_types != "off":
+        return args.entity_types
+    return None
 
 
-def _typed(args, world: World) -> World:
-    """``world`` typed from --entity-types (ids absent there get <unk>);
-    unchanged when types are off."""
-    if not _types_enabled(args):
+def _vocab_files(args) -> tuple[str, str]:
+    return args.vocab + ".vocab", args.vocab + ".merges"
+
+
+def _inputs(args, *paths) -> list:
+    """Manifest inputs: ``paths``, the vocabulary files and the types file."""
+    types_file = _types_file(args)
+    return [*paths, *_vocab_files(args), *([types_file] if types_file else [])]
+
+
+def _typed(world: World, types_file: str | None) -> World:
+    """``world`` typed from ``types_file`` (ids absent there get <unk>);
+    unchanged when it is None."""
+    if types_file is None:
         return world
-    return apply_type_annotations(world, load_entity_type_annotations(args.entity_types))
+    return apply_type_annotations(world, load_entity_type_annotations(types_file))
 
 
-def _load_world(args) -> World:
+def _load_world(args, types_file: str | None) -> World:
     entities = load_entities(args.entities, args.world)
     mentions = load_mentions(args.mentions)
-    doc_path = getattr(args, "documents", None) or args.entities
-    documents = documents_from_entities(load_entities(doc_path, args.world))
+    documents = documents_from_entities(
+        load_entities(args.documents or args.entities, args.world)
+    )
     validate_mentions(mentions, documents, {e.entity_id for e in entities})
-    return _typed(args, World(args.world, entities, documents, mentions))
+    return _typed(World(args.world, entities, documents, mentions), types_file)
 
 
-def _mention_vectors(args, mentions, documents, vocab, params_m, enc_cfg, kind):
+def _load_model(args):
+    """The vocabulary and the --checkpoint encoder, refused unless they agree
+    on the vocabulary size."""
+    vocab = Vocabulary.load(*_vocab_files(args))
+    enc_cfg, params = load_checkpoint(args.checkpoint)
+    if enc_cfg.vocab_size != len(vocab):
+        raise SystemExit(
+            f"{args.checkpoint} was trained with a {enc_cfg.vocab_size}-token "
+            f"vocabulary, but {args.vocab}.vocab holds {len(vocab)} tokens"
+        )
+    return vocab, enc_cfg, params
+
+
+def _check_k(k: int, entity_count: int) -> None:
+    if not 1 <= k <= entity_count:
+        raise SystemExit(f"--k {k} must lie in [1, {entity_count}], the number of entities")
+
+
+def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
+    """Both encoders trained on ``world``; returns (encoder config, TrainResult)."""
+    enc_cfg = EncoderConfig(
+        dim=args.dim, layers=args.layers, heads=args.heads, ff_dim=args.ff_dim,
+        max_len=args.max_len, vocab_size=len(vocab), seed=args.seed,
+    )
+    train_cfg = TrainConfig(
+        batch_size=args.batch_size, epochs=args.epochs, learning_rate=args.lr,
+        weight_decay=args.weight_decay, seed=seed, pooling_kind=kind,
+        use_entity_type=use_types,
+    )
+    return enc_cfg, training.train(world, vocab, enc_cfg, train_cfg)
+
+
+def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg, kind, use_types):
     """Pooled mention vectors, encoded ``retrieval.EMBED_CHUNK`` at a time."""
-    use_types = _types_enabled(args)
     seqs = [
         build_mention_sequence(
             m, documents[m.context_document_id], vocab, enc_cfg.max_len, use_types
@@ -102,11 +148,8 @@ def _mention_vectors(args, mentions, documents, vocab, params_m, enc_cfg, kind):
     ]
 
 
-def _encoder_config(args, vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(
-        dim=args.dim, layers=args.layers, heads=args.heads, ff_dim=args.ff_dim,
-        max_len=args.max_len, vocab_size=vocab_size, seed=args.seed,
-    )
+def _retrieve(index, mentions, ys, k: int, metric: str) -> list[retrieval.RetrievalResult]:
+    return [retrieval.top_k(index, y, k, metric, m.mention_id) for m, y in zip(mentions, ys)]
 
 
 def _effective_options(args, skip=("config", "func")) -> dict:
@@ -135,83 +178,69 @@ def cmd_train_bpe(args):
 
 
 def cmd_train(args):
-    use_types = _types_enabled(args)
-    world = _load_world(args)
-    vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
-    enc_cfg = _encoder_config(args, len(vocab))
-    train_cfg = TrainConfig(
-        batch_size=args.batch_size, epochs=args.epochs, learning_rate=args.lr,
-        weight_decay=args.weight_decay, seed=args.seed, pooling_kind=args.pooling,
-        use_entity_type=use_types,
+    types_file = _types_file(args)
+    world = _load_world(args, types_file)
+    vocab = Vocabulary.load(*_vocab_files(args))
+    enc_cfg, result = _train(
+        args, world, vocab, args.pooling, args.seed, types_file is not None
     )
-    result = training.train(world, vocab, enc_cfg, train_cfg)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "mention.ckpt"), enc_cfg, result.params_m)
     save_checkpoint(os.path.join(args.out, "entity.ckpt"), enc_cfg, result.params_e)
     with open(os.path.join(args.out, "train.log"), "w", encoding="utf-8") as f:
         f.write("\n".join(result.log_lines) + "\n")
-    inputs = [args.entities, args.mentions, args.vocab + ".vocab", args.vocab + ".merges"]
-    if use_types:
-        inputs.append(args.entity_types)
     _write_manifest(
-        os.path.join(args.out, "manifest"), "train", _effective_options(args), inputs
+        os.path.join(args.out, "manifest"), "train", _effective_options(args),
+        _inputs(args, args.entities, args.mentions),
     )
     print(f"trained {args.epochs} epochs -> {args.out}")
     return 0
 
 
 def cmd_embed(args):
-    use_types = _types_enabled(args)
+    types_file = _types_file(args)
+    vocab, enc_cfg, params_e = _load_model(args)
     entities = load_entities(args.entities, args.world)
-    entities = _typed(args, World(args.world, entities, {})).entities
-    vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
-    enc_cfg, params_e = load_checkpoint(args.checkpoint)
+    entities = _typed(World(args.world, entities, {}), types_file).entities
     index = retrieval.build_index(
         entities, params_e, enc_cfg, vocab, args.pooling,
-        slot_count=shared_slot_count(use_types), use_entity_type=use_types,
-        world=args.world, workers=args.workers,
+        use_entity_type=types_file is not None, world=args.world, workers=args.workers,
     )
     retrieval.save_index(index, args.out)
-    inputs = [args.entities, args.checkpoint, args.vocab + ".vocab", args.vocab + ".merges"]
-    if use_types:
-        inputs.append(args.entity_types)
     _write_manifest(
-        args.out + ".manifest", "embed", _effective_options(args), inputs
+        args.out + ".manifest", "embed", _effective_options(args),
+        _inputs(args, args.entities, args.checkpoint),
     )
     print(f"embedded {len(index.entity_ids)} entities -> {args.out}.mat")
     return 0
 
 
 def cmd_retrieve(args):
-    use_types = _types_enabled(args)
+    types_file = _types_file(args)
     index = retrieval.load_index(args.index)
-    if args.k > len(index.entity_ids):
-        raise SystemExit(f"--k {args.k} exceeds index size {len(index.entity_ids)}")
+    _check_k(args.k, len(index.entity_ids))
     if index.pooling_kind != args.pooling:
         raise SystemExit(
             f"index {args.index} was built with pooling {index.pooling_kind!r}, "
             f"but retrieve was given --pooling {args.pooling}"
         )
-    mentions = _typed(args, World("", [], {}, load_mentions(args.mentions))).mentions
+    mentions = load_mentions(args.mentions)
     documents = documents_from_entities(load_entities(args.documents, world="_"))
-    vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
-    enc_cfg, params_m = load_checkpoint(args.checkpoint)
-    ys = _mention_vectors(args, mentions, documents, vocab, params_m, enc_cfg, args.pooling)
-    results = [
-        retrieval.top_k(index, y, args.k, args.metric, m.mention_id)
-        for m, y in zip(mentions, ys)
-    ]
+    validate_spans(mentions, documents)
+    mentions = _typed(World("", [], documents, mentions), types_file).mentions
+    vocab, enc_cfg, params_m = _load_model(args)
+    ys = _mention_vectors(
+        mentions, documents, vocab, params_m, enc_cfg, args.pooling, types_file is not None
+    )
+    results = _retrieve(index, mentions, ys, args.k, args.metric)
     with open(args.out, "w", encoding="utf-8") as f:
         for r in results:
             for rank, (eid, score) in enumerate(r.candidates, 1):
                 f.write(f"{r.mention_id}\t{rank}\t{eid}\t{score:.12g}\n")
-    inputs = [args.mentions, args.documents, args.checkpoint,
-              args.index + ".ids", args.index + ".mat",
-              args.vocab + ".vocab", args.vocab + ".merges"]
-    if use_types:
-        inputs.append(args.entity_types)
     _write_manifest(
-        args.out + ".manifest", "retrieve", _effective_options(args), inputs
+        args.out + ".manifest", "retrieve", _effective_options(args),
+        _inputs(args, args.mentions, args.documents, args.checkpoint,
+                args.index + ".ids", args.index + ".mat"),
     )
     print(f"retrieved top-{args.k} for {len(results)} mentions -> {args.out}")
     return 0
@@ -267,70 +296,52 @@ def cmd_eval(args):
 
 
 def cmd_experiment(args):
-    """Run the pooling x entity-type x metric grid and emit a comparison table."""
-    vocab = Vocabulary.load(args.vocab + ".vocab", args.vocab + ".merges")
-    seeds = [args.seed + i for i in range(args.seeds)]
+    """Run the pooling x entity-type x metric grid and emit a comparison table.
+
+    Each cell trains, embeds, retrieves and scores with the same stages as
+    ``train``, ``embed``, ``retrieve`` and ``eval``; the mean over seeds is
+    reported.
+    """
+    types_file = _types_file(args)
+    if types_file is None:
+        raise SystemExit("experiment needs --entity-types for the types-on arm")
+    if args.seeds < 1:
+        raise SystemExit(f"--seeds {args.seeds} must be at least 1")
+    vocab = Vocabulary.load(*_vocab_files(args))
+    worlds = {use_types: _load_world(args, types_file if use_types else None)
+              for use_types in (False, True)}
+    _check_k(args.k, len(worlds[False].entities))
     rows = []
-    for use_types in (False, True):
-        type_args = argparse.Namespace(**vars(args))
-        type_args.entity_types = args.entity_types if use_types else "off"
-        if use_types and not _types_enabled(type_args):
-            raise SystemExit("experiment needs --entity-types for the types-on arm")
-        world = _load_world(type_args)
+    for use_types, world in worlds.items():
         gold = {m.mention_id: m.gold_entity_id for m in world.mentions}
-        enc_cfg = _encoder_config(args, len(vocab))
-        slots = shared_slot_count(use_types)
+        world_of = {m.mention_id: m.world for m in world.mentions}
         for kind in pooling.ALL_KINDS:
-            per_metric: dict[str, list[float]] = {m: [] for m in retrieval.ALL_METRICS}
-            per_metric1: dict[str, list[float]] = {m: [] for m in retrieval.ALL_METRICS}
-            for seed in seeds:
-                train_cfg = TrainConfig(
-                    batch_size=args.batch_size, epochs=args.epochs,
-                    learning_rate=args.lr, seed=seed, pooling_kind=kind,
-                    use_entity_type=use_types,
-                )
-                result = training.train(world, vocab, enc_cfg, train_cfg)
+            accs: dict[str, list[dict[int, float]]] = {m: [] for m in retrieval.ALL_METRICS}
+            for seed in range(args.seed, args.seed + args.seeds):
+                enc_cfg, result = _train(args, world, vocab, kind, seed, use_types)
                 index = retrieval.build_index(
                     world.entities, result.params_e, enc_cfg, vocab, kind,
-                    slot_count=slots, use_entity_type=use_types, world=args.world,
+                    use_entity_type=use_types, world=args.world,
                 )
-                ys = _mention_vectors(
-                    type_args, world.mentions, world.documents, vocab,
-                    result.params_m, enc_cfg, kind,
-                )
+                ys = _mention_vectors(world.mentions, world.documents, vocab,
+                                      result.params_m, enc_cfg, kind, use_types)
                 for metric in retrieval.ALL_METRICS:
-                    results = [
-                        retrieval.top_k(index, y, args.k, metric, m.mention_id)
-                        for m, y in zip(world.mentions, ys)
-                    ]
-                    per_metric[metric].append(
-                        evaluation.accuracy_at_k(results, gold, args.k)
-                    )
-                    per_metric1[metric].append(
-                        evaluation.accuracy_at_k(results, gold, 1)
-                    )
-            for metric in retrieval.ALL_METRICS:
-                rows.append(
-                    (
-                        kind,
-                        "on" if use_types else "off",
-                        metric,
-                        float(np.mean(per_metric1[metric])),
-                        float(np.mean(per_metric[metric])),
-                    )
-                )
+                    results = _retrieve(index, world.mentions, ys, args.k, metric)
+                    report = evaluation.build_report(results, gold, world_of, [1, args.k])
+                    accs[metric].append(report.accuracy_by_k)
+            for metric, by_seed in accs.items():
+                rows.append((kind, "on" if use_types else "off", metric,
+                             float(np.mean([a[1] for a in by_seed])),
+                             float(np.mean([a[args.k] for a in by_seed]))))
     os.makedirs(args.out, exist_ok=True)
     table_path = os.path.join(args.out, "table.tsv")
     with open(table_path, "w", encoding="utf-8") as f:
         f.write(f"pooling\tentity_type\tmetric\taccuracy@1\taccuracy@{args.k}\n")
         for kind, types, metric, acc1, acck in rows:
             f.write(f"{kind}\t{types}\t{metric}\t{acc1:.6f}\t{acck:.6f}\n")
-    inputs = [args.entities, args.mentions, args.vocab + ".vocab", args.vocab + ".merges"]
-    if args.entity_types and args.entity_types != "off":
-        inputs.append(args.entity_types)
     _write_manifest(
         os.path.join(args.out, "manifest"), "experiment",
-        _effective_options(args), inputs,
+        _effective_options(args), _inputs(args, args.entities, args.mentions),
     )
     print(f"wrote {len(rows)} comparison rows -> {table_path}")
     return 0

@@ -16,26 +16,6 @@ from typing import Iterable
 
 from .bpe import DEFAULT_ENTITY_TYPE_LABELS, UNKNOWN_TYPE
 
-# World -> split assignment of the Zeshel benchmark.
-WORLD_SPLITS = {
-    "american_football": "train",
-    "doctor_who": "train",
-    "fallout": "train",
-    "final_fantasy": "train",
-    "military": "train",
-    "pro_wrestling": "train",
-    "starwars": "train",
-    "world_of_warcraft": "train",
-    "coronation_street": "val",
-    "muppets": "val",
-    "ice_hockey": "val",
-    "elder_scrolls": "val",
-    "forgotten_realms": "test",
-    "lego": "test",
-    "star_trek": "test",
-    "yugioh": "test",
-}
-
 
 class CorpusParseError(ValueError):
     pass
@@ -74,15 +54,6 @@ class World:
 
     def entity_by_id(self) -> dict[str, EntityRecord]:
         return {e.entity_id: e for e in self.entities}
-
-
-@dataclass
-class Corpus:
-    worlds: dict[str, World]
-    splits: dict[str, str] = field(default_factory=dict)
-
-    def split_worlds(self, split: str) -> list[World]:
-        return [w for name, w in self.worlds.items() if self.splits.get(name) == split]
 
 
 def _read_jsonl(path):
@@ -175,10 +146,23 @@ def documents_from_entities(entities: Iterable[EntityRecord]) -> dict[str, list[
 
 
 def validate_mentions(
-    mentions: Iterable[MentionRecord],
+    mentions: list[MentionRecord],
     documents: dict[str, list[str]],
     entity_ids: set[str],
 ) -> None:
+    """``validate_spans``, and every gold id must name one of ``entity_ids``."""
+    validate_spans(mentions, documents)
+    for m in mentions:
+        if m.gold_entity_id not in entity_ids:
+            raise CorpusValidationError(
+                f"mention {m.mention_id}: unresolvable gold id {m.gold_entity_id!r}"
+            )
+
+
+def validate_spans(
+    mentions: Iterable[MentionRecord], documents: dict[str, list[str]]
+) -> None:
+    """Every mention's context document exists and holds its whole span."""
     for m in mentions:
         doc = documents.get(m.context_document_id)
         if doc is None:
@@ -190,10 +174,6 @@ def validate_mentions(
             raise CorpusValidationError(
                 f"mention {m.mention_id}: span [{m.start_index}, {m.end_index}] "
                 f"out of bounds for document of length {len(doc)}"
-            )
-        if m.gold_entity_id not in entity_ids:
-            raise CorpusValidationError(
-                f"mention {m.mention_id}: unresolvable gold id {m.gold_entity_id!r}"
             )
 
 
@@ -212,38 +192,6 @@ def apply_type_annotations(
     return World(
         name=world.name, entities=entities, documents=world.documents, mentions=mentions
     )
-
-
-def build_world(name: str, entities, mentions) -> World:
-    documents = documents_from_entities(entities)
-    world = World(name=name, entities=entities, documents=documents, mentions=mentions)
-    validate_mentions(mentions, documents, {e.entity_id for e in entities})
-    return world
-
-
-def mention_surface(mention: MentionRecord, documents: dict[str, list[str]]) -> list[str]:
-    doc = documents[mention.context_document_id]
-    return doc[mention.start_index : mention.end_index + 1]
-
-
-def corpus_stats(corpus: Corpus) -> dict:
-    """Per-world entity/mention counts and entity-type coverage fractions."""
-    stats: dict = {"worlds": {}, "total_entities": 0, "total_mentions": 0}
-    for name, world in sorted(corpus.worlds.items()):
-        n_ent = len(world.entities)
-        n_men = len(world.mentions)
-        typed_ent = sum(1 for e in world.entities if e.entity_type != UNKNOWN_TYPE)
-        typed_men = sum(1 for m in world.mentions if m.entity_type != UNKNOWN_TYPE)
-        stats["worlds"][name] = {
-            "split": corpus.splits.get(name, "unassigned"),
-            "entities": n_ent,
-            "mentions": n_men,
-            "entity_type_coverage": typed_ent / n_ent if n_ent else 0.0,
-            "mention_type_coverage": typed_men / n_men if n_men else 0.0,
-        }
-        stats["total_entities"] += n_ent
-        stats["total_mentions"] += n_men
-    return stats
 
 
 # -- serialization (round-trip with the load functions) ----------------------

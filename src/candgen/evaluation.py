@@ -34,6 +34,8 @@ def accuracy_at_k(
     results: list[RetrievalResult], gold: dict[str, str], k: int
 ) -> float:
     """Fraction of mentions whose gold id is within the first k candidates."""
+    if k < 1:
+        raise EvaluationError(f"K={k} must be at least 1")
     if not results:
         raise EvaluationError("no retrieval results to evaluate")
     hits = 0

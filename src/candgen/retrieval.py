@@ -32,7 +32,7 @@ import numpy as np
 
 from . import pooling
 from .encoder import EncoderConfig
-from .templates import build_entity_sequence
+from .templates import build_entity_sequence, shared_slot_count
 from .training import forward_pooled
 
 DOT = "dot"
@@ -192,12 +192,15 @@ def build_index(
     enc_cfg: EncoderConfig,
     vocab,
     pooling_kind: str,
-    slot_count: int | None = None,
     use_entity_type: bool = False,
     world: str = "",
     workers: int = 1,
 ) -> EmbeddingIndex:
-    """Embed every dictionary entry once; one matrix row per entity."""
+    """Embed every dictionary entry once; one matrix row per entity.
+
+    Concatenation pooling pads to ``shared_slot_count(use_entity_type)``
+    slots, the budget the encoders were trained with.
+    """
     entities = list(entities)
     if not entities:
         raise RetrievalError("cannot build an index over an empty dictionary")
@@ -205,6 +208,7 @@ def build_index(
         build_entity_sequence(e, vocab, enc_cfg.max_len, use_entity_type)
         for e in entities
     ]
+    slot_count = shared_slot_count(use_entity_type)
 
     def embed_chunk(chunk):
         return forward_pooled(params_e, enc_cfg, chunk, pooling_kind, slot_count)[0]

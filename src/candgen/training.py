@@ -22,6 +22,11 @@ from .templates import (
 
 log = logging.getLogger(__name__)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+FD_STEP = 1e-5  # central-difference step of ``gradient_check``
+
 
 class TrainingError(ValueError):
     pass
@@ -33,9 +38,6 @@ class TrainConfig:
     epochs: int = 5
     learning_rate: float = 3e-5
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     pooling_kind: str = pooling.CLS
     use_entity_type: bool = False
@@ -45,9 +47,6 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
-        for b in (self.beta1, self.beta2):
-            if not 0.0 < b < 1.0:
-                raise TrainingError("Adam betas must lie in (0, 1)")
         if self.pooling_kind not in pooling.ALL_KINDS:
             raise TrainingError(f"unknown pooling kind {self.pooling_kind!r}")
 
@@ -90,11 +89,11 @@ class AdamW:
     def step(self, grads: np.ndarray, lr: float):
         cfg, p = self.cfg, self.params
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grads
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grads * grads
-        mhat = self.m / (1.0 - cfg.beta1**self.t)
-        vhat = self.v / (1.0 - cfg.beta2**self.t)
-        p -= lr * (mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * p)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grads
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grads * grads
+        mhat = self.m / (1.0 - ADAM_BETA1**self.t)
+        vhat = self.v / (1.0 - ADAM_BETA2**self.t)
+        p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * p)
 
 
 # -- batched forward/backward through encoder + pooling ----------------------
@@ -237,7 +236,7 @@ class GradCheckReport:
 
 def gradient_check(
     params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind,
-    slot_count=None, fd_step: float = 1e-5, samples_per_tensor: int | None = None,
+    slot_count=None, samples_per_tensor: int | None = None,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic end-to-end gradients against central finite differences.
@@ -268,12 +267,12 @@ def gradient_check(
                 idxs = rng.choice(flat.size, size=samples_per_tensor, replace=False)
             for i in idxs:
                 old = flat[i]
-                flat[i] = old + fd_step
+                flat[i] = old + FD_STEP
                 lp = total_loss()
-                flat[i] = old - fd_step
+                flat[i] = old - FD_STEP
                 lm = total_loss()
                 flat[i] = old
-                fd = (lp - lm) / (2.0 * fd_step)
+                fd = (lp - lm) / (2.0 * FD_STEP)
                 err = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-4)
                 if err > worst:
                     worst, worst_param, worst_side = err, name, side

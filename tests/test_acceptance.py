@@ -172,7 +172,7 @@ def test_criterion_6_overfit_sanity(capsys, toy_world, toy_vocab):
         slots = shared_slot_count(False)
         index = retrieval.build_index(
             toy_world.entities, result.params_e, enc_cfg, toy_vocab,
-            pooling.CONC_SPECIAL, slot_count=slots, world=toy_world.name,
+            pooling.CONC_SPECIAL, world=toy_world.name,
         )
         mention_seqs = [
             build_mention_sequence(

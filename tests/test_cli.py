@@ -2,6 +2,7 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 
 from candgen import synthetic
@@ -239,3 +240,133 @@ def _quick_vocab(toy_files, tmp_path):
     run(["train-bpe", "--input", toy_files["entities"], toy_files["documents"],
          "--vocab-size", "300", "--out", vocab])
     return vocab
+
+
+EXPERIMENT_TINY = ["--dim", "8", "--layers", "0", "--heads", "2", "--ff-dim", "16",
+                   "--max-len", "16", "--epochs", "1", "--lr", "1e-3"]
+
+
+def _experiment(toy_files, tmp_path, *flags):
+    return main(["experiment", "--entities", toy_files["entities"],
+                 "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+                 "--vocab", _quick_vocab(toy_files, tmp_path),
+                 "--world", "toyworld", "--out", str(tmp_path / "exp"),
+                 *EXPERIMENT_TINY, *flags])
+
+
+def test_experiment_cell_trains_like_train(toy_files, tmp_path, monkeypatch):
+    """The cls, types-off cell runs train's own stage, --weight-decay included."""
+    from candgen import training
+    from candgen.encoder import load_checkpoint
+
+    flags = ["--weight-decay", "0.5", "--seed", "4"]
+    model = str(tmp_path / "model")
+    run(["train", "--entities", toy_files["entities"], "--mentions", toy_files["mentions"],
+         "--documents", toy_files["documents"], "--vocab", _quick_vocab(toy_files, tmp_path),
+         "--world", "toyworld", "--pooling", "cls", "--out", model, *EXPERIMENT_TINY, *flags])
+    trained = {}
+    real_train = training.train
+
+    def spy(world, vocab, enc_cfg, train_cfg):
+        result = real_train(world, vocab, enc_cfg, train_cfg)
+        trained[(train_cfg.pooling_kind, train_cfg.use_entity_type)] = result.params_m
+        return result
+
+    monkeypatch.setattr(training, "train", spy)
+    assert _experiment(toy_files, tmp_path, "--entity-types", toy_files["types"],
+                       "--k", "3", "--seeds", "1", *flags) == 0
+    _, params_m = load_checkpoint(os.path.join(model, "mention.ckpt"))
+    assert np.array_equal(trained[("cls", False)], params_m)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--entity-types", "off", "--k", "3"], "needs --entity-types"),
+    (["--seeds", "0", "--k", "3"], "--seeds 0"),
+    (["--k", "0"], "--k 0"),
+    (["--k", "11"], "--k 11"),
+])
+def test_experiment_rejects_bad_flags_before_training(
+    toy_files, tmp_path, monkeypatch, capsys, flags, message
+):
+    from candgen import training
+
+    def no_training(*args):
+        raise AssertionError("experiment trained before checking its flags")
+
+    monkeypatch.setattr(training, "train", no_training)
+    code = _experiment(toy_files, tmp_path, "--entity-types", toy_files["types"], *flags)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "exp" / "table.tsv")
+
+
+def test_eval_rejects_k_below_one(pipeline, toy_files, capsys):
+    out = str(pipeline["out"] / "badks")
+    code = main(["eval", "--results", pipeline["results"], "--mentions", toy_files["mentions"],
+                 "--ks=-1,0,1", "--out", out])
+    assert code == 1
+    assert "K=-1" in capsys.readouterr().err
+    assert not os.path.exists(out + ".report")
+
+
+def _small_vocab(pipeline, toy_files, tmp_path):
+    """A vocabulary smaller than the pipeline's, and both sizes as the error
+    message states them."""
+    from candgen.bpe import Vocabulary
+
+    vocab = str(tmp_path / "small")
+    run(["train-bpe", "--input", toy_files["entities"], "--vocab-size", "120",
+         "--out", vocab])
+    sizes = [len(Vocabulary.load(p + ".vocab", p + ".merges"))
+             for p in (pipeline["vocab"], vocab)]
+    assert sizes[1] < sizes[0]
+    return vocab, (f"{sizes[0]}-token", f"holds {sizes[1]} tokens")
+
+
+def test_embed_rejects_vocabulary_of_other_size(pipeline, toy_files, tmp_path, capsys):
+    out = str(tmp_path / "index")
+    vocab, sizes = _small_vocab(pipeline, toy_files, tmp_path)
+    code = main(["embed", "--entities", toy_files["entities"], "--vocab", vocab,
+                 "--checkpoint", os.path.join(pipeline["model"], "entity.ckpt"),
+                 "--pooling", "avg", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(size in err for size in sizes)
+    assert not os.path.exists(out + ".mat")
+
+
+def test_retrieve_rejects_vocabulary_of_other_size(pipeline, toy_files, tmp_path, capsys):
+    out = str(tmp_path / "results.tsv")
+    vocab, sizes = _small_vocab(pipeline, toy_files, tmp_path)
+    code = main(["retrieve", "--index", pipeline["index"],
+                 "--checkpoint", os.path.join(pipeline["model"], "mention.ckpt"),
+                 "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+                 "--vocab", vocab, "--k", "5",
+                 "--pooling", "avg", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert all(size in err for size in sizes)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"context_document_id": "nowhere"}, "unknown context document 'nowhere'"),
+    ({"start_index": 0, "end_index": 999}, "out of bounds"),
+])
+def test_retrieve_rejects_mention_outside_its_document(
+    pipeline, toy_files, tmp_path, capsys, change, message
+):
+    with open(toy_files["mentions"]) as f:
+        rows = [json.loads(line) for line in f]
+    rows[3].update(change)
+    mentions = tmp_path / "mentions.jsonl"
+    mentions.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = str(tmp_path / "results.tsv")
+    code = main(["retrieve", "--index", pipeline["index"],
+                 "--checkpoint", os.path.join(pipeline["model"], "mention.ckpt"),
+                 "--mentions", str(mentions), "--documents", toy_files["documents"],
+                 "--vocab", pipeline["vocab"], "--k", "5", "--pooling", "avg",
+                 "--out", out])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)

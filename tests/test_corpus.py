@@ -4,7 +4,6 @@ import pytest
 
 from candgen import corpus as C
 from candgen.corpus import (
-    Corpus,
     CorpusParseError,
     CorpusValidationError,
     EntityRecord,
@@ -103,11 +102,6 @@ def test_unresolvable_gold_rejected():
         C.validate_mentions([m], {"d1": ["a", "b"]}, {"e1"})
 
 
-def test_mention_surface_non_empty(toy_world):
-    for m in toy_world.mentions:
-        assert C.mention_surface(m, toy_world.documents)
-
-
 def test_type_annotations(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("m1\tPERSON\ne1\tLOC\n")
@@ -138,28 +132,9 @@ def test_mostly_unknown_annotations_accepted(tmp_path, toy_world):
     path.write_text("\n".join(lines) + "\n")
     mapping = C.load_entity_type_annotations(path)
     world = C.apply_type_annotations(toy_world, mapping)
-    stats = C.corpus_stats(Corpus(worlds={"toyworld": world}))
-    coverage = stats["worlds"]["toyworld"]["mention_type_coverage"]
+    typed = sum(m.entity_type != "<unk>" for m in world.mentions)
+    coverage = typed / len(world.mentions)
     assert 0.0 < coverage < 0.5
-
-
-def test_corpus_stats_counts(toy_world):
-    stats = C.corpus_stats(Corpus(worlds={"toyworld": toy_world}, splits={"toyworld": "test"}))
-    w = stats["worlds"]["toyworld"]
-    assert w["entities"] == len(toy_world.entities) == 20
-    assert w["mentions"] == 50
-    assert w["entity_type_coverage"] == 0.0
-    assert w["split"] == "test"
-
-
-def test_world_splits_disjoint():
-    by_split = {}
-    for world, split in C.WORLD_SPLITS.items():
-        by_split.setdefault(split, set()).add(world)
-    splits = list(by_split.values())
-    for i in range(len(splits)):
-        for j in range(i + 1, len(splits)):
-            assert not splits[i] & splits[j]
 
 
 def test_round_trip_serialization(tmp_path, toy_world):

@@ -168,8 +168,7 @@ def test_build_index_conc_special_padded_slots(toy_world, toy_vocab):
                         vocab_size=len(toy_vocab))
     params = init_params(cfg)
     slots = shared_slot_count(False)
-    idx = R.build_index(toy_world.entities[:4], params, cfg, toy_vocab,
-                        "conc_special", slot_count=slots)
+    idx = R.build_index(toy_world.entities[:4], params, cfg, toy_vocab, "conc_special")
     assert idx.matrix.shape == (4, slots * 8)
     # entity side has 3 specials; the 4th slot stays zero
     np.testing.assert_array_equal(idx.matrix[:, 3 * 8 :], 0.0)

@@ -104,9 +104,9 @@ def test_adamw_without_decay_is_plain_adam():
     g = np.array([0.5, -0.25])
     opt.step(g, lr=0.1)
     # hand-rolled Adam step 1
-    m = (1 - cfg.beta1) * g / (1 - cfg.beta1)
-    v = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
-    expected = w - 0.1 * m / (np.sqrt(v) + cfg.eps)
+    m = (1 - T.ADAM_BETA1) * g / (1 - T.ADAM_BETA1)
+    v = (1 - T.ADAM_BETA2) * g * g / (1 - T.ADAM_BETA2)
+    expected = w - 0.1 * m / (np.sqrt(v) + T.ADAM_EPS)
     np.testing.assert_allclose(params, expected, atol=1e-15)
 
 
