@@ -43,7 +43,7 @@ print("first/last epoch:", result.log_lines[0], "|", result.log_lines[-1])
 
 slots = shared_slot_count(False)
 index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab,
-                              "conc_special", world=world.name)
+                              "conc_special")
 
 mention_seqs = [
     build_mention_sequence(m, world.documents[m.context_document_id], vocab,

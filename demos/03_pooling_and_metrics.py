@@ -31,7 +31,7 @@ for kind in pooling.ALL_KINDS:
                                      pooling_kind=kind)
     result = training.train(world, vocab, enc_cfg, train_cfg)
     index = retrieval.build_index(world.entities, result.params_e, enc_cfg,
-                                  vocab, kind, world=world.name)
+                                  vocab, kind)
     ys, _ = training.forward_pooled(result.params_m, enc_cfg, mention_seqs,
                                     kind, slots)
     row = [kind]

@@ -204,7 +204,7 @@ def cmd_embed(args):
     entities = _typed(World(args.world, entities, {}), types_file).entities
     index = retrieval.build_index(
         entities, params_e, enc_cfg, vocab, args.pooling,
-        use_entity_type=types_file is not None, world=args.world, workers=args.workers,
+        use_entity_type=types_file is not None, workers=args.workers,
     )
     retrieval.save_index(index, args.out)
     _write_manifest(
@@ -224,6 +224,12 @@ def cmd_retrieve(args):
             f"index {args.index} was built with pooling {index.pooling_kind!r}, "
             f"but retrieve was given --pooling {args.pooling}"
         )
+    if index.use_entity_type != (types_file is not None):
+        raise SystemExit(
+            f"index {args.index} was built with entity types "
+            f"{'on' if index.use_entity_type else 'off'}, but retrieve was given "
+            f"--entity-types {args.entity_types}"
+        )
     mentions = load_mentions(args.mentions)
     documents = documents_from_entities(load_entities(args.documents, world="_"))
     validate_spans(mentions, documents)
@@ -239,8 +245,7 @@ def cmd_retrieve(args):
                 f.write(f"{r.mention_id}\t{rank}\t{eid}\t{score:.12g}\n")
     _write_manifest(
         args.out + ".manifest", "retrieve", _effective_options(args),
-        _inputs(args, args.mentions, args.documents, args.checkpoint,
-                args.index + ".ids", args.index + ".mat"),
+        _inputs(args, args.mentions, args.documents, args.checkpoint, args.index + ".mat"),
     )
     print(f"retrieved top-{args.k} for {len(results)} mentions -> {args.out}")
     return 0
@@ -282,8 +287,6 @@ def cmd_eval(args):
             f"mentions in {args.mentions} (first: {missing[0]})"
         )
     ks = [int(k) for k in args.ks.split(",")]
-    max_k = min(len(r.candidates) for r in results)
-    ks = [k for k in ks if k <= max_k] or [max_k]
     report = evaluation.build_report(results, gold, worlds, ks, metric=args.metric)
     evaluation.write_report(report, args.out + ".report", args.out + ".curve")
     _write_manifest(
@@ -319,10 +322,8 @@ def cmd_experiment(args):
             accs: dict[str, list[dict[int, float]]] = {m: [] for m in retrieval.ALL_METRICS}
             for seed in range(args.seed, args.seed + args.seeds):
                 enc_cfg, result = _train(args, world, vocab, kind, seed, use_types)
-                index = retrieval.build_index(
-                    world.entities, result.params_e, enc_cfg, vocab, kind,
-                    use_entity_type=use_types, world=args.world,
-                )
+                index = retrieval.build_index(world.entities, result.params_e, enc_cfg,
+                                             vocab, kind, use_entity_type=use_types)
                 ys = _mention_vectors(world.mentions, world.documents, vocab,
                                       result.params_m, enc_cfg, kind, use_types)
                 for metric in retrieval.ALL_METRICS:
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="top-K accuracy report from results")
     p.add_argument("--results", required=True, help="retrieve output TSV")
     p.add_argument("--mentions", required=True, help="gold mention file")
-    p.add_argument("--ks", default="1,10,25,50,64")
+    p.add_argument("--ks", default=",".join(map(str, evaluation.DEFAULT_K_GRID)))
     p.add_argument("--metric", default="", help="recorded in the report only")
     p.add_argument("--out", required=True, help="report file prefix")
     p.set_defaults(func=cmd_eval)

@@ -96,6 +96,7 @@ def load_entities(path, world: str) -> list[EntityRecord]:
 def load_mentions(path) -> list[MentionRecord]:
     """Load a mention file; span sanity is checked here, document bounds later."""
     records: list[MentionRecord] = []
+    seen: set[str] = set()
     for lineno, obj in _read_jsonl(path):
         try:
             rec = MentionRecord(
@@ -113,6 +114,11 @@ def load_mentions(path) -> list[MentionRecord]:
                 f"mention {rec.mention_id}: invalid span "
                 f"[{rec.start_index}, {rec.end_index}]"
             )
+        if rec.mention_id in seen:
+            raise CorpusValidationError(
+                f"{path}:{lineno}: duplicate mention_id {rec.mention_id!r}"
+            )
+        seen.add(rec.mention_id)
         records.append(rec)
     return records
 

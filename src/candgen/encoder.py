@@ -10,13 +10,12 @@ against finite differences and applied by one vectorised AdamW step.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+
+from . import artifact
 
 LN_EPS = 1e-5
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -256,54 +255,34 @@ def _manifest(config: EncoderConfig) -> list:
 
 
 def save_checkpoint(path, config: EncoderConfig, params: np.ndarray):
-    """Binary checkpoint: JSON header (config + tensor manifest) then the
-    parameter vector as raw little-endian float64, in manifest order."""
+    """Binary checkpoint (see ``artifact``): a JSON header holding the config
+    and the tensor manifest, then the parameter vector in manifest order."""
     param_views(params, config)  # rejects a vector of the wrong size
-    header = json.dumps(
-        {"config": asdict(config), "tensors": _manifest(config)}, sort_keys=True
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<Q", len(header)))
-        f.write(header)
-        f.write(np.ascontiguousarray(params, dtype="<f8").tobytes())
+    header = {"config": asdict(config), "tensors": _manifest(config)}
+    artifact.write(path, _CKPT_MAGIC, header, params)
+
+
+def _config_of(header: dict) -> EncoderConfig:
+    stored = header.get("config")
+    if not isinstance(stored, dict):
+        raise EncoderError("malformed checkpoint header")
+    names = {fld.name for fld in fields(EncoderConfig)}
+    if set(stored) != names:
+        raise EncoderError(
+            f"config fields {sorted(stored)} are not {sorted(names)}; "
+            "a checkpoint from another version must be retrained"
+        )
+    if any(type(v) is not int for v in stored.values()):
+        raise EncoderError("config values must be integers")
+    config = EncoderConfig(**stored)
+    if header.get("tensors") != _manifest(config):
+        raise EncoderError("tensor manifest does not match its config")
+    return config
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, np.ndarray]:
-    """Read a checkpoint. Raise EncoderError naming the file unless the magic,
-    the header, its config fields, its manifest and the body size all hold."""
-    with open(path, "rb") as f:
-        if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise EncoderError(f"{path}: not a checkpoint file")
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(8)
-        hlen = struct.unpack("<Q", head)[0] if len(head) == 8 else size
-        try:  # a cut header fails to parse; so does one that is not UTF-8 JSON
-            header = json.loads(f.read(hlen).decode("utf-8")) if hlen <= size else None
-        except ValueError:
-            header = None
-        if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
-                and "tensors" in header):
-            raise EncoderError(f"{path}: truncated or malformed checkpoint header")
-        stored, names = header["config"], {fld.name for fld in fields(EncoderConfig)}
-        if set(stored) != names:
-            raise EncoderError(
-                f"{path}: config fields {sorted(stored)} are not {sorted(names)}; "
-                "a checkpoint from another version must be retrained"
-            )
-        try:
-            if any(type(v) is not int for v in stored.values()):
-                raise EncoderError("config values must be integers")
-            config = EncoderConfig(**stored)
-        except EncoderError as e:
-            raise EncoderError(f"{path}: {e}") from None
-        if header["tensors"] != _manifest(config):
-            raise EncoderError(f"{path}: tensor manifest does not match its config")
-        count, body = param_count(config), size - f.tell()
-        if body != 8 * count:
-            raise EncoderError(
-                f"{path}: header promises {count} float64 parameters ({8 * count} "
-                f"bytes) but the body holds {body} bytes"
-            )
-        params = np.fromfile(f, dtype="<f8", count=count).astype(np.float64, copy=False)
-    return config, params
+    """Read a checkpoint. Raise EncoderError naming the file unless the
+    container, the config fields, the manifest and the body size all hold."""
+    header, params = artifact.read(path, _CKPT_MAGIC, "checkpoint", EncoderError,
+                                   lambda h: param_count(_config_of(h)))
+    return _config_of(header), params

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .retrieval import RetrievalResult
 
-DEFAULT_K_GRID = (1, 10, 25, 50, 64)
+DEFAULT_K_GRID = (1, 10, 25, 50)
 
 
 class EvaluationError(ValueError):

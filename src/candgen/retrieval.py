@@ -17,20 +17,17 @@ scan with ``m @ q``, ``(m @ q) / (norms * |q|)`` or ``norm(m - q, axis=1)``.
 
 Row norms, used by cosine and euclidean, are computed on first use and
 memoised on the ``EmbeddingIndex``, so its ``matrix`` must not be changed
-after construction.
+once the index is built.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pooling
+from . import artifact, pooling
 from .encoder import EncoderConfig
 from .templates import build_entity_sequence, shared_slot_count
 from .training import forward_pooled
@@ -52,7 +49,7 @@ class EmbeddingIndex:
     entity_ids: list[str]
     matrix: np.ndarray  # (N, P)
     pooling_kind: str = pooling.CLS
-    world: str = ""
+    use_entity_type: bool = False
 
     _id_rank: np.ndarray = field(init=False, repr=False)
     _norms: np.ndarray | None = field(default=None, init=False, repr=False)
@@ -193,7 +190,6 @@ def build_index(
     vocab,
     pooling_kind: str,
     use_entity_type: bool = False,
-    world: str = "",
     workers: int = 1,
 ) -> EmbeddingIndex:
     """Embed every dictionary entry once; one matrix row per entity.
@@ -224,54 +220,38 @@ def build_index(
         entity_ids=[e.entity_id for e in entities],
         matrix=matrix,
         pooling_kind=pooling_kind,
-        world=world,
+        use_entity_type=use_entity_type,
     )
 
 
 # -- persistence -------------------------------------------------------------
 
-_MAT_MAGIC = b"CGEIDX1\n"
+_INDEX_MAGIC = b"CGEIDX2\n"
 
 
 def save_index(index: EmbeddingIndex, prefix: str) -> None:
-    """Write ``prefix.ids`` (one id per line), ``prefix.mat`` (shape header +
-    little-endian float64 rows) and ``prefix.meta`` (JSON)."""
-    with open(prefix + ".ids", "w", encoding="utf-8") as f:
-        for eid in index.entity_ids:
-            f.write(eid + "\n")
-    with open(prefix + ".mat", "wb") as f:
-        f.write(_MAT_MAGIC)
-        f.write(struct.pack("<QQ", *index.matrix.shape))
-        f.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
-    with open(prefix + ".meta", "w", encoding="utf-8") as f:
-        json.dump({"pooling": index.pooling_kind, "world": index.world}, f, sort_keys=True)
-        f.write("\n")
+    """Write the one file ``prefix.mat`` (see ``artifact``): a header holding
+    the entity ids, pooling, entity-type mode and row width, then the rows."""
+    header = {"ids": index.entity_ids, "pooling": index.pooling_kind,
+              "use_entity_type": index.use_entity_type, "width": index.matrix.shape[1]}
+    artifact.write(prefix + ".mat", _INDEX_MAGIC, header, index.matrix)
+
+
+def _value_count(header: dict) -> int:
+    ids, width = header.get("ids"), header.get("width")
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise RetrievalError("index ids must be a list of strings")
+    if header.get("pooling") not in pooling.ALL_KINDS:
+        raise RetrievalError(f"unknown pooling {header.get('pooling')!r}")
+    if not isinstance(header.get("use_entity_type"), bool):
+        raise RetrievalError("use_entity_type must be true or false")
+    if type(width) is not int or width < 1:
+        raise RetrievalError(f"index width {width!r} must be a positive integer")
+    return len(ids) * width
 
 
 def load_index(prefix: str) -> EmbeddingIndex:
-    with open(prefix + ".ids", encoding="utf-8") as f:
-        entity_ids = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-    with open(prefix + ".mat", "rb") as f:
-        if f.read(len(_MAT_MAGIC)) != _MAT_MAGIC:
-            raise RetrievalError(f"{prefix}.mat: not an index matrix file")
-        header = f.read(16)
-        if len(header) != 16:
-            raise RetrievalError(f"{prefix}.mat: truncated shape header")
-        rows, cols = struct.unpack("<QQ", header)
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size != rows * cols * 8:
-            raise RetrievalError(
-                f"{prefix}.mat: header promises a {rows}x{cols} float64 matrix "
-                f"({rows * cols * 8} bytes) but the file holds {size} bytes"
-            )
-        matrix = np.fromfile(f, dtype="<f8", count=rows * cols)
-        matrix = matrix.astype(np.float64, copy=False).reshape(rows, cols)
-    meta = {"pooling": pooling.CLS, "world": ""}
-    try:
-        with open(prefix + ".meta", encoding="utf-8") as f:
-            meta.update(json.load(f))
-    except FileNotFoundError:
-        pass
-    return EmbeddingIndex(
-        entity_ids=entity_ids, matrix=matrix, pooling_kind=meta["pooling"], world=meta["world"]
-    )
+    h, body = artifact.read(prefix + ".mat", _INDEX_MAGIC, "index", RetrievalError,
+                            _value_count)
+    return EmbeddingIndex(h["ids"], body.reshape(-1, h["width"]), h["pooling"],
+                          h["use_entity_type"])

@@ -171,8 +171,7 @@ def test_criterion_6_overfit_sanity(capsys, toy_world, toy_vocab):
         result = training.train(toy_world, toy_vocab, enc_cfg, train_cfg)
         slots = shared_slot_count(False)
         index = retrieval.build_index(
-            toy_world.entities, result.params_e, enc_cfg, toy_vocab,
-            pooling.CONC_SPECIAL, world=toy_world.name,
+            toy_world.entities, result.params_e, enc_cfg, toy_vocab, pooling.CONC_SPECIAL
         )
         mention_seqs = [
             build_mention_sequence(
@@ -326,7 +325,7 @@ def test_criterion_9_determinism(capsys, tmp_path, toy_world):
                              "--ks", "1,5", "--out", str(base / "eval")]) == 0
             dirs.append(base)
         for rel in ("v.vocab", "v.merges", "model/mention.ckpt", "model/entity.ckpt",
-                    "index.mat", "index.ids", "results.tsv", "eval.report",
+                    "index.mat", "results.tsv", "eval.report",
                     "eval.curve"):
             assert filecmp.cmp(dirs[0] / rel, dirs[1] / rel, shallow=False), rel
         ok = True

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -160,10 +161,11 @@ def test_retrieve_rejects_truncated_checkpoint(pipeline, toy_files, capsys):
     assert not os.path.exists(out)
 
 
-def test_eval_report_states_only_what_it_knows(toy_files, tmp_path):
-    """A types-on run: the report carries no pooling or entity-type line,
-    which no caller ever filled in (they read '' and 'false' on every run)."""
-    vocab, model, index = (str(tmp_path / name) for name in ("v", "model", "index"))
+@pytest.fixture(scope="module")
+def typed(toy_files, tmp_path_factory):
+    """A types-on model and index with cls pooling."""
+    out = tmp_path_factory.mktemp("typed")
+    vocab, model, index = (str(out / name) for name in ("v", "model", "index"))
     types = ["--entity-types", toy_files["types"], "--pooling", "cls"]
     run(["train-bpe", "--input", toy_files["entities"], toy_files["documents"],
          "--vocab-size", "300", "--out", vocab])
@@ -172,18 +174,50 @@ def test_eval_report_states_only_what_it_knows(toy_files, tmp_path):
          *types, *TINY])
     run(["embed", "--entities", toy_files["entities"], "--vocab", vocab,
          "--checkpoint", os.path.join(model, "entity.ckpt"), *types, "--out", index])
+    retrieve = ["retrieve", "--index", index,
+                "--checkpoint", os.path.join(model, "mention.ckpt"),
+                "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+                "--vocab", vocab, "--pooling", "cls"]
+    return dict(index=index, retrieve=retrieve, types=toy_files["types"])
+
+
+def test_eval_report_states_only_what_it_knows(toy_files, typed, tmp_path):
+    """A types-on run: the report carries no pooling or entity-type line,
+    which no caller ever filled in (they read '' and 'false' on every run)."""
     results, report = str(tmp_path / "results.tsv"), str(tmp_path / "eval")
-    run(["retrieve", "--index", index, "--checkpoint", os.path.join(model, "mention.ckpt"),
-         "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
-         "--vocab", vocab, "--metric", "cosine", "--k", "5", *types, "--out", results])
+    run(typed["retrieve"] + ["--entity-types", typed["types"], "--metric", "cosine",
+                             "--k", "5", "--out", results])
     run(["eval", "--results", results, "--mentions", toy_files["mentions"], "--ks", "1,5",
          "--metric", "cosine", "--out", report])
     with open(report + ".report") as f:
         keys = [line.split("\t")[0] for line in f.read().splitlines()]
     assert keys[:4] == ["mention_count", "metric", "accuracy@1", "accuracy@5"]
     assert not {"pooling", "entity_type"} & set(keys)
-    with open(index + ".meta") as f:
-        assert "metric" not in json.load(f)
+    with open(typed["index"] + ".mat", "rb") as f:
+        raw = f.read()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    assert sorted(header) == ["ids", "pooling", "use_entity_type", "width"]
+    assert (header["pooling"], header["use_entity_type"]) == ("cls", True)
+
+
+def test_retrieve_rejects_index_of_other_type_mode(typed, tmp_path, capsys):
+    out = str(tmp_path / "results.tsv")
+    code = main(typed["retrieve"] + ["--k", "5", "--out", out])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "entity types on" in err and "--entity-types off" in err
+    assert not os.path.exists(out)
+
+
+def test_eval_refuses_k_beyond_the_results(toy_files, typed, tmp_path, capsys):
+    results, report = str(tmp_path / "results.tsv"), str(tmp_path / "eval")
+    run(typed["retrieve"] + ["--entity-types", typed["types"], "--k", "3", "--out", results])
+    code = main(["eval", "--results", results, "--mentions", toy_files["mentions"],
+                 "--ks", "1,10", "--out", report])
+    assert code == 1
+    assert "fewer than K=10" in capsys.readouterr().err
+    assert not os.path.exists(report + ".report")
 
 
 def test_missing_input_file_fails(tmp_path):

@@ -83,6 +83,13 @@ def test_load_mentions(tmp_path):
     )
 
 
+def test_duplicate_mention_id_rejected(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_jsonl(path, [_mention_row(), _mention_row(start_index=1), _mention_row()])
+    with pytest.raises(CorpusValidationError, match=r"m\.jsonl:2: duplicate mention_id 'm1'"):
+        C.load_mentions(path)
+
+
 def test_inverted_span_rejected(tmp_path):
     path = tmp_path / "m.jsonl"
     write_jsonl(path, [_mention_row(start_index=3, end_index=1)])

@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from candgen import pooling
 from candgen import retrieval as R
 from candgen.encoder import EncoderConfig, init_params
 from candgen.templates import shared_slot_count
@@ -196,24 +201,108 @@ def test_index_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     index = make_index(rng, n=7, p=3)
     index.pooling_kind = "avg"
-    index.world = "toyworld"
     prefix = str(tmp_path / "idx")
     R.save_index(index, prefix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.mat"]
     loaded = R.load_index(prefix)
     assert loaded.entity_ids == index.entity_ids
     np.testing.assert_array_equal(loaded.matrix, index.matrix)
-    assert (loaded.pooling_kind, loaded.world) == ("avg", "toyworld")
+    assert (loaded.pooling_kind, loaded.use_entity_type) == ("avg", False)
 
 
-def test_index_meta_records_no_metric_and_old_meta_loads(tmp_path):
-    prefix = str(tmp_path / "idx")
-    R.save_index(make_index(np.random.default_rng(16), n=4, p=2), prefix)
-    with open(prefix + ".meta") as f:
-        assert json.load(f) == {"pooling": "cls", "world": ""}
-    with open(prefix + ".meta", "w") as f:  # written before the metric key was dropped
-        json.dump({"metric": "dot", "pooling": "avg", "world": "w"}, f)
+_ODD_IDS = ["", "\n", "\r", "\t", "é\u4e2d\U0001f600", "a\nb"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    p=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308]), max_size=6),
+    text_ids=st.lists(st.text(), max_size=30, unique=True),
+    planted=st.lists(st.sampled_from(_ODD_IDS), max_size=3, unique=True),
+    kind=st.sampled_from(pooling.ALL_KINDS),
+    use_types=st.booleans(),
+)
+def test_index_round_trip_property(
+    tmp_path_factory, n, p, seed, specials, text_ids, planted, kind, use_types
+):
+    ids = list(dict.fromkeys(planted + text_ids))
+    ids = (ids + [f"pad{i}" for i in range(n) if f"pad{i}" not in ids])[:n]
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-300, 300, size=(n, p))
+    matrix.flat[rng.integers(0, n * p, size=len(specials))] = specials
+    index = R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
+    prefix = str(tmp_path_factory.mktemp("idx") / "idx")
+    R.save_index(index, prefix)
     loaded = R.load_index(prefix)
-    assert (loaded.pooling_kind, loaded.world) == ("avg", "w")
+    assert loaded.entity_ids == ids
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()  # -0.0 and subnormals too
+    assert (loaded.pooling_kind, loaded.use_entity_type) == (kind, use_types)
+    with open(prefix + ".mat", "rb") as f:
+        f.seek(len(R._INDEX_MAGIC))
+        (hlen,) = struct.unpack("<Q", f.read(8))
+    assert os.path.getsize(prefix + ".mat") == len(R._INDEX_MAGIC) + 8 + hlen + 8 * n * p
+
+
+def _index_with_header(header, body):
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return R._INDEX_MAGIC + struct.pack("<Q", len(text)) + text + body
+
+
+@pytest.mark.parametrize("case", [
+    "long_body", "short_body", "cut_header", "cut_length", "bad_magic", "parent_format",
+    "not_utf8", "too_deep", "ids_not_strings", "ids_not_list", "unknown_pooling", "types_not_bool",
+    "width_zero", "width_float", "missing_key",
+])
+def test_load_index_refuses_bad_files(tmp_path, case):
+    index = make_index(np.random.default_rng(20), n=4, p=3)
+    prefix = str(tmp_path / "idx")
+    R.save_index(index, prefix)
+    with open(prefix + ".mat", "rb") as f:
+        raw = f.read()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    end = 16 + hlen
+    header, body = json.loads(raw[16:end]), raw[end:]
+    if case == "long_body":
+        raw += bytes(8)
+    elif case == "short_body":
+        raw = raw[:-8]
+    elif case == "cut_header":
+        raw = raw[: end - 5]
+    elif case == "cut_length":
+        raw = raw[:12]
+    elif case == "bad_magic":
+        raw = b"CGCKPT1\n" + raw[8:]
+    elif case == "parent_format":  # magic, u64 rows and cols, then the body
+        raw = b"CGEIDX1\n" + struct.pack("<QQ", 4, 3) + body
+    elif case == "not_utf8":
+        raw = raw[:16] + b"\xff" * hlen + body
+    elif case == "too_deep":  # nested past the JSON parser's recursion limit
+        deep = b"[" * 100_000
+        raw = R._INDEX_MAGIC + struct.pack("<Q", len(deep)) + deep
+    else:
+        if case == "ids_not_strings":
+            header["ids"][2] = 7
+        elif case == "ids_not_list":
+            header["ids"] = "e0000"
+        elif case == "unknown_pooling":
+            header["pooling"] = 5
+        elif case == "types_not_bool":
+            header["use_entity_type"] = 1
+        elif case == "width_zero":
+            header["width"] = 0
+        elif case == "width_float":
+            header["width"] = 3.0
+        elif case == "missing_key":
+            del header["pooling"]
+        raw = _index_with_header(header, body)
+    with open(prefix + ".mat", "wb") as f:
+        f.write(raw)
+    with pytest.raises(R.RetrievalError, match=re.escape(prefix + ".mat")) as err:
+        R.load_index(prefix)
+    if case == "parent_format":
+        assert "embed" in str(err.value)
 
 
 def test_misaligned_index_rejected():
@@ -335,7 +424,7 @@ def test_index_with_wrong_matrix_size_rejected(tmp_path, change):
     R.save_index(index, prefix)
     with open(prefix + ".mat", "rb") as f:
         data = f.read()
-    # -8: one value short; +8: one value extra; -20: the body and half the header gone
+    # -8: one value short; +8: one value extra; -20: two and a half values short
     data = data[:change] if change < 0 else data + bytes(change)
     with open(prefix + ".mat", "wb") as f:
         f.write(data)
