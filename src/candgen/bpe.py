@@ -1,9 +1,10 @@
-"""Byte-pair-encoding subword tokenizer with a reserved special-token set.
+"""Byte-pair-encoding subword tokenizer with one fixed reserved special-token set.
 
 Merges are learned word-internally: the input is lower-cased, split on
 whitespace, and every word gets an end-of-word marker so decoding can
 restore word boundaries. Special tokens are atomic: they are never split
-and never participate in merge learning.
+and never participate in merge learning. Every vocabulary begins with
+``SPECIAL_TOKENS``, so a special token has the same id in all of them.
 """
 
 from __future__ import annotations
@@ -14,18 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 END_OF_WORD = "</w>"
-
-# Reserved tokens, in id order. Entity-type tokens are appended after these.
-BASE_SPECIAL_TOKENS = (
-    "[PAD]",
-    "[UNK]",
-    "[CLS]",
-    "[SEP]",
-    "[Ms]",
-    "[Me]",
-    "[ENT]",
-    "[H_SEP]",
-)
 
 # OntoNotes 5 label scheme used by the large English spaCy NER models.
 DEFAULT_ENTITY_TYPE_LABELS = (
@@ -57,10 +46,16 @@ def type_token(label: str) -> str:
     return f"[{label}]"
 
 
-def default_special_tokens(type_labels: Iterable[str] = DEFAULT_ENTITY_TYPE_LABELS):
-    return list(BASE_SPECIAL_TOKENS) + [
-        type_token(lbl) for lbl in (*type_labels, UNKNOWN_TYPE)
-    ]
+# The reserved tokens, in id order: the template markers, then one token per
+# entity-type label and one for an unknown type.
+SPECIAL_TOKENS = (
+    "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[Ms]", "[Me]", "[ENT]", "[H_SEP]",
+    *(type_token(lbl) for lbl in (*DEFAULT_ENTITY_TYPE_LABELS, UNKNOWN_TYPE)),
+)
+_SPECIAL_ID = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
+_SPECIAL_RE = re.compile(
+    "(" + "|".join(re.escape(t) for t in sorted(SPECIAL_TOKENS, key=len, reverse=True)) + ")"
+)
 
 
 class TokenizerError(ValueError):
@@ -71,59 +66,63 @@ class TokenizerError(ValueError):
 class Vocabulary:
     """Token table plus the ordered merge rules that produced it.
 
-    Ids are contiguous from 0: specials first, then the base alphabet in
-    sorted order, then one token per merge in learned order.
+    Ids are contiguous from 0: ``SPECIAL_TOKENS`` first, then the base
+    alphabet in sorted order, then one token per merge in learned order.
+    Every merge's two tokens and its product are in the table.
     """
 
     id_to_token: list[str]
     merges: list[tuple[str, str]]
-    special_tokens: list[str]
 
     token_to_id: dict[str, int] = field(init=False, repr=False)
     merge_ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
     _word_cache: dict[str, tuple[int, ...]] = field(
         init=False, repr=False, default_factory=dict
     )
-    _special_re: re.Pattern = field(init=False, repr=False)
 
     def __post_init__(self):
+        for i, tok in enumerate(SPECIAL_TOKENS):
+            if i >= len(self.id_to_token) or self.id_to_token[i] != tok:
+                raise TokenizerError(
+                    f"id {i} must be the special token {tok!r}: a vocabulary begins "
+                    f"with the {len(SPECIAL_TOKENS)} tokens of bpe.SPECIAL_TOKENS"
+                )
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise TokenizerError("duplicate token in vocabulary")
-        for tok in self.special_tokens:
-            if tok not in self.token_to_id:
-                raise TokenizerError(f"special token {tok!r} missing from vocabulary")
         self.merge_ranks = {pair: i for i, pair in enumerate(self.merges)}
         if len(self.merge_ranks) != len(self.merges):
             raise TokenizerError("duplicate merge rule")
-        longest_first = sorted(self.special_tokens, key=len, reverse=True)
-        self._special_re = re.compile(
-            "(" + "|".join(re.escape(t) for t in longest_first) + ")"
-        )
+        for a, b in self.merges:
+            for tok in (a, b, a + b):
+                if tok not in self.token_to_id:
+                    raise TokenizerError(
+                        f"merge rule {a!r} {b!r} uses {tok!r}, which is not in the vocabulary"
+                    )
 
     def __len__(self) -> int:
         return len(self.id_to_token)
 
     @property
     def pad_id(self) -> int:
-        return self.token_to_id["[PAD]"]
+        return _SPECIAL_ID["[PAD]"]
 
     @property
     def unk_id(self) -> int:
-        return self.token_to_id["[UNK]"]
+        return _SPECIAL_ID["[UNK]"]
 
     @property
     def cls_id(self) -> int:
-        return self.token_to_id["[CLS]"]
+        return _SPECIAL_ID["[CLS]"]
 
     @property
     def sep_id(self) -> int:
-        return self.token_to_id["[SEP]"]
+        return _SPECIAL_ID["[SEP]"]
 
     def special_id(self, token: str) -> int:
-        if token not in self.special_tokens:
+        if token not in _SPECIAL_ID:
             raise TokenizerError(f"{token!r} is not a special token")
-        return self.token_to_id[token]
+        return _SPECIAL_ID[token]
 
     # -- encoding ----------------------------------------------------------
 
@@ -131,36 +130,30 @@ class Vocabulary:
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
+        # A symbol outside the vocabulary is in no merge rule, so it never
+        # merges and becomes [UNK].
         symbols = _initial_symbols(word)
-        # Unknown characters become None placeholders that never merge.
-        symbols = [s if _symbol_known(s, self.token_to_id) else None for s in symbols]
         while True:
             best_rank = None
-            for a, b in zip(symbols, symbols[1:]):
-                if a is None or b is None:
-                    continue
-                rank = self.merge_ranks.get((a, b))
+            for pair in zip(symbols, symbols[1:]):
+                rank = self.merge_ranks.get(pair)
                 if rank is not None and (best_rank is None or rank < best_rank):
                     best_rank = rank
             if best_rank is None:
                 break
-            pair = self.merges[best_rank]
-            symbols = _merge_pair(symbols, pair)
-        ids = tuple(
-            self.unk_id if s is None else self.token_to_id.get(s, self.unk_id)
-            for s in symbols
-        )
+            symbols = _merge_pair(symbols, self.merges[best_rank])
+        ids = tuple(self.token_to_id.get(s, self.unk_id) for s in symbols)
         self._word_cache[word] = ids
         return ids
 
     def encode(self, text: str) -> list[int]:
         """Encode text to ids; special-token strings stay atomic."""
         ids: list[int] = []
-        for segment in self._special_re.split(text):
+        for segment in _SPECIAL_RE.split(text):
             if not segment:
                 continue
-            if segment in self.token_to_id and segment in self.special_tokens:
-                ids.append(self.token_to_id[segment])
+            if segment in _SPECIAL_ID:
+                ids.append(_SPECIAL_ID[segment])
                 continue
             for word in segment.lower().split():
                 ids.extend(self._encode_word(word))
@@ -174,7 +167,7 @@ class Vocabulary:
             if not 0 <= i < len(self.id_to_token):
                 raise TokenizerError(f"token id {i} out of range")
             tok = self.id_to_token[i]
-            if tok in self.special_tokens:
+            if tok in _SPECIAL_ID:
                 if current:
                     words.append(current)
                     current = ""
@@ -200,6 +193,9 @@ class Vocabulary:
 
     @classmethod
     def load(cls, vocab_path, merges_path) -> "Vocabulary":
+        """Read a vocabulary written by ``save``. Raise TokenizerError naming
+        the files unless it begins with ``SPECIAL_TOKENS``, has no repeated
+        token or merge, and every merge uses tokens of the vocabulary."""
         with open(vocab_path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
         merges: list[tuple[str, str]] = []
@@ -212,12 +208,10 @@ class Vocabulary:
                 if len(parts) != 2:
                     raise TokenizerError(f"{merges_path}:{lineno}: malformed merge rule")
                 merges.append((parts[0], parts[1]))
-        # Specials hold the leading ids; a learned subword may look like one.
-        n_special = next(
-            (i for i, t in enumerate(tokens) if not re.fullmatch(r"\[.+\]", t)),
-            len(tokens),
-        )
-        return cls(id_to_token=tokens, merges=merges, special_tokens=tokens[:n_special])
+        try:
+            return cls(id_to_token=tokens, merges=merges)
+        except TokenizerError as e:
+            raise TokenizerError(f"{vocab_path} with {merges_path}: {e}") from None
 
 
 def _initial_symbols(word: str) -> list[str]:
@@ -226,11 +220,7 @@ def _initial_symbols(word: str) -> list[str]:
     return chars
 
 
-def _symbol_known(symbol: str, token_to_id: dict[str, int]) -> bool:
-    return symbol in token_to_id or symbol[0] in token_to_id
-
-
-def _merge_pair(symbols: list, pair: tuple[str, str]):
+def _merge_pair(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     merged = []
     i = 0
     while i < len(symbols):
@@ -256,30 +246,23 @@ def count_pairs(words: dict[tuple, int]) -> Counter:
     return pairs
 
 
-def train_bpe(
-    texts: Iterable[str],
-    target_vocab_size: int,
-    special_tokens: list[str] | None = None,
-) -> Vocabulary:
+def train_bpe(texts: Iterable[str], target_vocab_size: int) -> Vocabulary:
     """Learn BPE merges from a text stream.
 
     Ties between equally frequent pairs go to the lexicographically
     smallest pair, so training is deterministic.
     """
-    if special_tokens is None:
-        special_tokens = default_special_tokens()
     word_counts: Counter = Counter()
-    special_set = set(special_tokens)
     for text in texts:
         for word in text.lower().split():
-            if word not in special_set:
+            if word not in _SPECIAL_ID:
                 word_counts[word] += 1
     if not word_counts:
         raise TokenizerError("empty training corpus")
 
     words = {tuple(_initial_symbols(w)): c for w, c in word_counts.items()}
     alphabet = sorted({s for symbols in words for s in symbols})
-    base_size = len(alphabet) + len(special_tokens)
+    base_size = len(alphabet) + len(SPECIAL_TOKENS)
     if target_vocab_size < base_size:
         raise TokenizerError(
             f"target vocab size {target_vocab_size} below alphabet+specials {base_size}"
@@ -287,7 +270,7 @@ def train_bpe(
 
     merges: list[tuple[str, str]] = []
     merged_tokens: list[str] = []
-    seen = set(special_tokens) | set(alphabet)
+    seen = set(SPECIAL_TOKENS) | set(alphabet)
     while len(merges) < target_vocab_size - base_size:
         pairs = count_pairs(words)
         if not pairs:
@@ -301,7 +284,4 @@ def train_bpe(
             seen.add(product)
             merged_tokens.append(product)
 
-    id_to_token = list(special_tokens) + alphabet + merged_tokens
-    return Vocabulary(
-        id_to_token=id_to_token, merges=merges, special_tokens=list(special_tokens)
-    )
+    return Vocabulary(id_to_token=[*SPECIAL_TOKENS, *alphabet, *merged_tokens], merges=merges)

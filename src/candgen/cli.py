@@ -122,7 +122,7 @@ def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
     """Both encoders trained on ``world``; returns (encoder config, TrainResult)."""
     enc_cfg = EncoderConfig(
         dim=args.dim, layers=args.layers, heads=args.heads, ff_dim=args.ff_dim,
-        max_len=args.max_len, vocab_size=len(vocab), seed=args.seed,
+        max_len=args.max_len, vocab_size=len(vocab),
     )
     train_cfg = TrainConfig(
         batch_size=args.batch_size, epochs=args.epochs, learning_rate=args.lr,

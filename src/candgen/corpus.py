@@ -123,11 +123,9 @@ def load_mentions(path) -> list[MentionRecord]:
     return records
 
 
-def load_entity_type_annotations(
-    path, labels: Iterable[str] = DEFAULT_ENTITY_TYPE_LABELS
-) -> dict[str, str]:
+def load_entity_type_annotations(path) -> dict[str, str]:
     """Load ``id<TAB>type`` annotations; absent ids default to <unk> downstream."""
-    allowed = set(labels) | {UNKNOWN_TYPE}
+    allowed = {*DEFAULT_ENTITY_TYPE_LABELS, UNKNOWN_TYPE}
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):

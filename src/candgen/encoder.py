@@ -34,7 +34,6 @@ class EncoderConfig:
     ff_dim: int = 256
     max_len: int = 32
     vocab_size: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.dim, self.heads, self.ff_dim) < 1 or self.layers < 0:
@@ -81,9 +80,9 @@ def param_views(flat: np.ndarray, config: EncoderConfig) -> dict[str, np.ndarray
     return views
 
 
-def init_params(config: EncoderConfig) -> np.ndarray:
+def init_params(config: EncoderConfig, seed: int) -> np.ndarray:
     """Scaled-normal (std 0.02) weights, unit layer-norm scales, zero offsets."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     flat = np.zeros(param_count(config))
     for name, view in param_views(flat, config).items():
         if view.ndim == 2:

@@ -44,6 +44,17 @@ class RetrievalError(ValueError):
     pass
 
 
+def _first_repeat(ids: list[str]) -> str | None:
+    if len(set(ids)) == len(ids):  # the common case, at half the cost of the loop
+        return None
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
 @dataclass
 class EmbeddingIndex:
     entity_ids: list[str]
@@ -60,6 +71,9 @@ class EmbeddingIndex:
         self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if len(self.entity_ids) != self.matrix.shape[0]:
             raise RetrievalError("entity ids not aligned with matrix rows")
+        repeated = _first_repeat(self.entity_ids)
+        if repeated is not None:
+            raise RetrievalError(f"entity id {repeated!r} names more than one row")
         if not np.isfinite(self.matrix).all():
             raise RetrievalError("non-finite embedding row")
         order = sorted(range(len(self.entity_ids)), key=lambda i: self.entity_ids[i])
@@ -241,6 +255,9 @@ def _value_count(header: dict) -> int:
     ids, width = header.get("ids"), header.get("width")
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise RetrievalError("index ids must be a list of strings")
+    repeated = _first_repeat(ids)
+    if repeated is not None:
+        raise RetrievalError(f"index id {repeated!r} is repeated")
     if header.get("pooling") not in pooling.ALL_KINDS:
         raise RetrievalError(f"unknown pooling {header.get('pooling')!r}")
     if not isinstance(header.get("use_entity_type"), bool):

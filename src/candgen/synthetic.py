@@ -7,8 +7,6 @@ same line-delimited format the loaders expect.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .bpe import DEFAULT_ENTITY_TYPE_LABELS, train_bpe
@@ -95,19 +93,11 @@ def write_world_files(
     entities_to_jsonl(world.entities, entities_path)
     mentions_to_jsonl(world.mentions, mentions_path)
     if documents_path is not None:
-        with open(documents_path, "w", encoding="utf-8") as f:
-            for doc_id in sorted(world.documents):
-                f.write(
-                    json.dumps(
-                        {
-                            "document_id": doc_id,
-                            "title": doc_id,
-                            "text": " ".join(world.documents[doc_id]),
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+        docs = world.documents
+        entities_to_jsonl(
+            (EntityRecord(d, d, " ".join(docs[d]), world.name) for d in sorted(docs)),
+            documents_path,
+        )
     if types_path is not None:
         labels = DEFAULT_ENTITY_TYPE_LABELS
         with open(types_path, "w", encoding="utf-8") as f:

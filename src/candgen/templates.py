@@ -27,7 +27,6 @@ class TokenSequence:
     ids: np.ndarray  # int64, length max_len, [PAD]-padded
     attn_len: int
     special_positions: list[tuple[str, int]]  # (role, index), increasing index
-    side: str  # "mention" | "entity"
 
     @property
     def special_indices(self) -> list[int]:
@@ -59,13 +58,11 @@ def _split_context_budget(budget: int, n_left: int, n_right: int) -> tuple[int, 
     return left, right
 
 
-def _finish(ids: list[int], specials: list[tuple[str, int]], vocab, max_len, side):
+def _finish(ids: list[int], specials: list[tuple[str, int]], vocab, max_len):
     attn_len = len(ids)
     padded = np.full(max_len, vocab.pad_id, dtype=np.int64)
     padded[:attn_len] = ids
-    return TokenSequence(
-        ids=padded, attn_len=attn_len, special_positions=specials, side=side
-    )
+    return TokenSequence(ids=padded, attn_len=attn_len, special_positions=specials)
 
 
 def build_mention_sequence(
@@ -122,7 +119,7 @@ def build_mention_sequence(
     ids.extend(right)
     ids.append(vocab.sep_id)
     specials.append(("sep", len(ids) - 1))
-    return _finish(ids, specials, vocab, max_len, "mention")
+    return _finish(ids, specials, vocab, max_len)
 
 
 def build_entity_sequence(
@@ -157,7 +154,7 @@ def build_entity_sequence(
     ids.extend(desc)
     ids.append(vocab.sep_id)
     specials.append(("sep", len(ids) - 1))
-    return _finish(ids, specials, vocab, max_len, "entity")
+    return _finish(ids, specials, vocab, max_len)
 
 
 def format_sequence(seq: TokenSequence, vocab: Vocabulary) -> str:

@@ -5,7 +5,7 @@ linear learning-rate decay, and an end-to-end finite-difference gradient check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,11 +124,12 @@ def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
 
 
 def batch_loss_and_grads(
-    params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind, slot_count=None
+    params_m, params_e, enc_cfg, mention_seqs, entity_seqs, kind, slot_count=None
 ):
-    """Full pipeline loss for one batch of gold pairs, plus both flat gradients."""
-    ym, state_m = forward_pooled(params_m, enc_cfg_m, mention_seqs, kind, slot_count)
-    ye, state_e = forward_pooled(params_e, enc_cfg_e, entity_seqs, kind, slot_count)
+    """Full pipeline loss for one batch of gold pairs, plus both flat gradients.
+    Both towers share the architecture ``enc_cfg``."""
+    ym, state_m = forward_pooled(params_m, enc_cfg, mention_seqs, kind, slot_count)
+    ye, state_e = forward_pooled(params_e, enc_cfg, entity_seqs, kind, slot_count)
     loss, dscores = inbatch_loss(ym @ ye.T)
     grads_m = backward_pooled(state_m, dscores @ ye)
     grads_e = backward_pooled(state_e, dscores.T @ ym)
@@ -182,10 +183,8 @@ def train(
     kind = train_cfg.pooling_kind
     slots = shared_slot_count(train_cfg.use_entity_type)
 
-    cfg_m = replace(enc_cfg, seed=train_cfg.seed)
-    cfg_e = replace(enc_cfg, seed=train_cfg.seed + 1)
-    params_m = encoder.init_params(cfg_m)
-    params_e = encoder.init_params(cfg_e)
+    params_m = encoder.init_params(enc_cfg, train_cfg.seed)
+    params_e = encoder.init_params(enc_cfg, train_cfg.seed + 1)
     opt_m = AdamW(params_m, train_cfg)
     opt_e = AdamW(params_e, train_cfg)
 
@@ -206,7 +205,7 @@ def train(
             if len(set(golds)) < len(golds):
                 log.info("in-batch gold collision at epoch %d: %s", epoch, golds)
             loss, grads_m, grads_e = batch_loss_and_grads(
-                params_m, params_e, cfg_m, cfg_e,
+                params_m, params_e, enc_cfg,
                 [mention_seqs[i] for i in batch],
                 [entity_seqs[i] for i in batch],
                 kind, slots,
@@ -235,7 +234,7 @@ class GradCheckReport:
 
 
 def gradient_check(
-    params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind,
+    params_m, params_e, enc_cfg, mention_seqs, entity_seqs, kind,
     slot_count=None, samples_per_tensor: int | None = None,
     seed: int = 0,
 ) -> GradCheckReport:
@@ -246,20 +245,18 @@ def gradient_check(
     """
 
     def total_loss():
-        ym, _ = forward_pooled(params_m, enc_cfg_m, mention_seqs, kind, slot_count)
-        ye, _ = forward_pooled(params_e, enc_cfg_e, entity_seqs, kind, slot_count)
+        ym, _ = forward_pooled(params_m, enc_cfg, mention_seqs, kind, slot_count)
+        ye, _ = forward_pooled(params_e, enc_cfg, entity_seqs, kind, slot_count)
         return inbatch_loss(ym @ ye.T)[0]
 
     _, grads_m, grads_e = batch_loss_and_grads(
-        params_m, params_e, enc_cfg_m, enc_cfg_e, mention_seqs, entity_seqs, kind, slot_count
+        params_m, params_e, enc_cfg, mention_seqs, entity_seqs, kind, slot_count
     )
     rng = np.random.default_rng(seed)
     worst, worst_param, worst_side = 0.0, "", ""
-    for side, params, grads, cfg in (
-        ("mention", params_m, grads_m, enc_cfg_m), ("entity", params_e, grads_e, enc_cfg_e)
-    ):
-        gviews = encoder.param_views(grads, cfg)
-        for name, arr in encoder.param_views(params, cfg).items():
+    for side, params, grads in (("mention", params_m, grads_m), ("entity", params_e, grads_e)):
+        gviews = encoder.param_views(grads, enc_cfg)
+        for name, arr in encoder.param_views(params, enc_cfg).items():
             flat, gflat = arr.reshape(-1), gviews[name].reshape(-1)
             if samples_per_tensor is None or flat.size <= samples_per_tensor:
                 idxs = np.arange(flat.size)

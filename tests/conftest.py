@@ -23,6 +23,4 @@ def char_vocab():
 
 @pytest.fixture
 def tiny_config():
-    return EncoderConfig(
-        dim=8, layers=1, heads=2, ff_dim=16, max_len=6, vocab_size=32, seed=3
-    )
+    return EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=6, vocab_size=32)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -6,14 +7,15 @@ from hypothesis import strategies as st
 
 from candgen.bpe import (
     END_OF_WORD,
+    SPECIAL_TOKENS,
     TokenizerError,
     Vocabulary,
     _initial_symbols,
-    default_special_tokens,
+    _merge_pair,
     train_bpe,
 )
 
-SPECIALS = default_special_tokens()
+SPECIALS = SPECIAL_TOKENS
 N_SPECIAL = len(SPECIALS)
 
 
@@ -64,7 +66,7 @@ def test_budget_below_base_size_rejected():
 
 def test_merge_list_length_contract():
     vocab = train_bpe(["low lower lowest low low"], len(SPECIALS) + 50)
-    alphabet = {t for t in vocab.id_to_token if t not in vocab.special_tokens}
+    alphabet = {t for t in vocab.id_to_token if t not in SPECIALS}
     n_products = sum(
         1
         for t in alphabet
@@ -81,7 +83,7 @@ def test_encode_empty():
 
 def test_special_tokens_atomic():
     vocab = train_bpe(["ab cd"], len(SPECIALS) + 16)
-    for tok in vocab.special_tokens:
+    for tok in SPECIALS:
         ids = vocab.encode(tok)
         assert ids == [vocab.token_to_id[tok]], tok
 
@@ -152,10 +154,12 @@ def test_save_load_round_trip(tmp_path):
 def test_load_keeps_bracketed_subwords_ordinary(tmp_path):
     # "[y]" is a learned subword here, not a special token.
     vocab = train_bpe(["x[y]z"], len(SPECIALS) + 40)
-    assert "[y]" in vocab.id_to_token and "[y]" not in vocab.special_tokens
+    assert "[y]" in vocab.id_to_token and "[y]" not in SPECIALS
     vocab.save(tmp_path / "v.vocab", tmp_path / "v.merges")
     loaded = Vocabulary.load(tmp_path / "v.vocab", tmp_path / "v.merges")
-    assert loaded.special_tokens == vocab.special_tokens
+    assert loaded.id_to_token == vocab.id_to_token
+    with pytest.raises(TokenizerError):
+        loaded.special_id("[y]")
     assert loaded.encode("x[y]z") == vocab.encode("x[y]z")
 
 
@@ -165,3 +169,129 @@ def test_round_trip_property(words):
     text = " ".join(words)
     vocab = train_bpe([text], len(SPECIALS) + 40)
     assert vocab.decode(vocab.encode(text)) == text
+
+
+def test_special_tokens_are_fixed():
+    assert SPECIALS[:8] == (
+        "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[Ms]", "[Me]", "[ENT]", "[H_SEP]"
+    )
+    assert len(SPECIALS) == 27 and SPECIALS[8] == "[PERSON]" and SPECIALS[-1] == "[<unk>]"
+    vocab = train_bpe(["ab"], len(SPECIALS) + 8)
+    assert tuple(vocab.id_to_token[: len(SPECIALS)]) == SPECIALS
+    assert [vocab.special_id(t) for t in SPECIALS] == list(range(len(SPECIALS)))
+    with pytest.raises(TokenizerError, match="not a special token"):
+        vocab.special_id("[ms]")
+
+
+def reference_encode(vocab: Vocabulary, text: str) -> list[int]:
+    """An independent copy of the encoder as it was before merges were
+    checked on load: symbols outside the vocabulary became placeholders
+    that never merge and map to [UNK]."""
+    longest_first = sorted(SPECIALS, key=len, reverse=True)
+    special_re = "(" + "|".join(re.escape(t) for t in longest_first) + ")"
+    ids: list[int] = []
+    for segment in re.split(special_re, text):
+        if not segment:
+            continue
+        if segment in SPECIALS:
+            ids.append(vocab.token_to_id[segment])
+            continue
+        for word in segment.lower().split():
+            symbols = [
+                s if s in vocab.token_to_id or s[0] in vocab.token_to_id else None
+                for s in _initial_symbols(word)
+            ]
+            while True:
+                ranks = [
+                    vocab.merge_ranks.get((a, b))
+                    for a, b in zip(symbols, symbols[1:])
+                    if a is not None and b is not None
+                ]
+                ranks = [r for r in ranks if r is not None]
+                if not ranks:
+                    break
+                symbols = _merge_pair(symbols, vocab.merges[min(ranks)])
+            ids.extend(
+                vocab.unk_id if s is None else vocab.token_to_id.get(s, vocab.unk_id)
+                for s in symbols
+            )
+    return ids
+
+
+def _budget(corpus: list[str], merges: int) -> int:
+    """A vocabulary size that leaves room for exactly ``merges`` merges."""
+    words = [w for t in corpus for w in t.lower().split()]
+    return len(SPECIALS) + len({s for w in words for s in _initial_symbols(w)}) + merges
+
+
+_pieces = st.one_of(
+    st.text(alphabet="abcdeXYé[]<>/ \t", max_size=8),
+    st.sampled_from(SPECIALS + ("[ms]", "[person]", "</w>", "[Ms", "H_SEP]")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    corpus=st.lists(st.text(alphabet="abcde[]< ", min_size=1, max_size=12), min_size=1,
+                    max_size=8),
+    merges=st.integers(0, 40),
+    pieces=st.lists(_pieces, max_size=12),
+)
+def test_encode_matches_reference_property(corpus, merges, pieces):
+    # Texts carry characters the vocabulary never saw and special strings
+    # glued to ordinary words.
+    if not " ".join(corpus).split():
+        corpus = corpus + ["a"]
+    vocab = train_bpe(corpus, _budget(corpus, merges))
+    text = "".join(pieces)
+    assert vocab.encode(text) == reference_encode(vocab, text)
+    assert vocab.encode(" ".join(corpus)) == reference_encode(vocab, " ".join(corpus))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus=st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12),
+        min_size=1, max_size=8,
+    ),
+    merges=st.integers(0, 60),
+)
+def test_vocabulary_round_trip_property(tmp_path_factory, corpus, merges):
+    if not " ".join(corpus).split():
+        corpus = corpus + ["a"]
+    vocab = train_bpe(corpus, _budget(corpus, merges))
+    d = tmp_path_factory.mktemp("vocab")
+    vocab.save(d / "v.vocab", d / "v.merges")
+    loaded = Vocabulary.load(d / "v.vocab", d / "v.merges")
+    assert loaded.id_to_token == vocab.id_to_token
+    assert loaded.merges == vocab.merges
+    text = " ".join(corpus) + " [Ms] zz" + "".join(corpus)
+    assert loaded.encode(text) == vocab.encode(text)
+    with open(d / "v.vocab", encoding="utf-8") as f:
+        assert tuple(f.read().split("\n")[: len(SPECIALS)]) == SPECIALS
+
+
+@pytest.mark.parametrize("case", [
+    "types_missing", "markers_swapped", "duplicate_token", "duplicate_merge",
+    "merge_outside_vocabulary",
+])
+def test_load_refuses_bad_vocabularies(tmp_path, case):
+    vocab = train_bpe(["hello world hello"], len(SPECIALS) + 30)
+    vocab_path, merges_path = tmp_path / "v.vocab", tmp_path / "v.merges"
+    vocab.save(vocab_path, merges_path)
+    tokens = vocab_path.read_text(encoding="utf-8").splitlines()
+    merges = merges_path.read_text(encoding="utf-8").splitlines()
+    if case == "types_missing":  # the eight markers only, as a hand-made file might be
+        tokens = tokens[:8] + tokens[len(SPECIALS):]
+    elif case == "markers_swapped":
+        tokens[4], tokens[5] = tokens[5], tokens[4]
+    elif case == "duplicate_token":
+        tokens.append(tokens[len(SPECIALS)])
+    elif case == "duplicate_merge":
+        merges.append(merges[0])
+    elif case == "merge_outside_vocabulary":
+        merges.append("q z")
+    vocab_path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    merges_path.write_text("\n".join(merges) + "\n", encoding="utf-8")
+    with pytest.raises(TokenizerError, match=re.escape(str(vocab_path))):
+        Vocabulary.load(vocab_path, merges_path)

@@ -32,9 +32,9 @@ def test_config_validation():
 
 
 def test_init_deterministic_and_shaped():
-    cfg = EncoderConfig(dim=64, layers=2, heads=2, ff_dim=128, max_len=16, vocab_size=1000, seed=7)
-    p1 = E.param_views(E.init_params(cfg), cfg)
-    p2 = E.param_views(E.init_params(cfg), cfg)
+    cfg = EncoderConfig(dim=64, layers=2, heads=2, ff_dim=128, max_len=16, vocab_size=1000)
+    p1 = E.param_views(E.init_params(cfg, 7), cfg)
+    p2 = E.param_views(E.init_params(cfg, 7), cfg)
     assert p1["tok_emb"].shape == (1000, 64)
     assert np.array_equal(p1["l0.ln1.g"], np.ones(64))
     assert np.array_equal(p1["l1.ln2.b"], np.zeros(64))
@@ -44,7 +44,7 @@ def test_init_deterministic_and_shaped():
 
 def test_zero_layers_is_embedding_sum():
     cfg = EncoderConfig(dim=8, layers=0, heads=2, ff_dim=16, max_len=5, vocab_size=12)
-    params = E.init_params(cfg)
+    params = E.init_params(cfg, 0)
     ids = np.array([[3, 1, 7, 2, 4]])
     h, _ = E.forward(params, cfg, ids, np.array([5]))
     views = E.param_views(params, cfg)
@@ -54,7 +54,7 @@ def test_zero_layers_is_embedding_sum():
 
 def test_zero_layers_permutation_equivariance():
     cfg = EncoderConfig(dim=8, layers=0, heads=2, ff_dim=16, max_len=4, vocab_size=12)
-    params = E.init_params(cfg)
+    params = E.init_params(cfg, 0)
     E.param_views(params, cfg)["pos_emb"][:] = 0.0
     ids = np.array([[3, 1, 7, 2]])
     swapped = np.array([[3, 7, 1, 2]])
@@ -64,7 +64,7 @@ def test_zero_layers_permutation_equivariance():
 
 
 def test_output_invariant_to_padding_ids(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 0, 0, 0]])
     lens = np.array([3])
     h1, _ = E.forward(params, tiny_config, ids, lens)
@@ -75,7 +75,7 @@ def test_output_invariant_to_padding_ids(tiny_config):
 
 
 def test_forward_deterministic_without_dropout(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 2, 0, 0]])
     lens = np.array([4])
     h1, _ = E.forward(params, tiny_config, ids, lens)
@@ -84,7 +84,7 @@ def test_forward_deterministic_without_dropout(tiny_config):
 
 
 def test_bad_inputs_rejected(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     with pytest.raises(E.EncoderError):
         E.forward(params, tiny_config, np.zeros((1, 3), dtype=int), np.array([3]))
     with pytest.raises(E.EncoderError):
@@ -93,14 +93,14 @@ def test_bad_inputs_rejected(tiny_config):
 
 @pytest.mark.parametrize("lens", [[0, 3], [3, 7], [3], [[3, 3]], [-1, 3]])
 def test_bad_attention_lengths_rejected(tiny_config, lens):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 0, 0, 0], [2, 2, 2, 0, 0, 0]])
     with pytest.raises(E.EncoderError):
         E.forward(params, tiny_config, ids, np.array(lens))
 
 
 def test_backward_shape_mismatch_rejected(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 2, 0, 0]])
     h, cache = E.forward(params, tiny_config, ids, np.array([4]))
     with pytest.raises(E.EncoderError):
@@ -108,7 +108,7 @@ def test_backward_shape_mismatch_rejected(tiny_config):
 
 
 def test_zero_upstream_gradient_gives_zero_grads(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 2, 0, 0]])
     h, cache = E.forward(params, tiny_config, ids, np.array([4]))
     grads = E.backward(cache, np.zeros_like(h))
@@ -118,7 +118,7 @@ def test_zero_upstream_gradient_gives_zero_grads(tiny_config):
 
 
 def test_gradient_additivity_over_examples(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     rng = np.random.default_rng(0)
     ids, lens = rand_batch(tiny_config, rng, batch=2)
     dh = rng.normal(size=(2, tiny_config.max_len, tiny_config.dim))
@@ -134,7 +134,7 @@ def test_gradient_additivity_over_examples(tiny_config):
 
 
 def test_gradients_match_finite_differences(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     rng = np.random.default_rng(1)
     ids, lens = rand_batch(tiny_config, rng)
     w = rng.normal(size=(2, tiny_config.max_len, tiny_config.dim))
@@ -163,8 +163,8 @@ def test_gradients_match_finite_differences(tiny_config):
 
 
 def test_independent_encoders_share_no_storage(tiny_config):
-    p1 = E.init_params(tiny_config)
-    p2 = E.init_params(tiny_config)
+    p1 = E.init_params(tiny_config, 3)
+    p2 = E.init_params(tiny_config, 3)
     before = p2.copy()
     p1 += 1.0
     np.testing.assert_array_equal(p2, before)
@@ -174,7 +174,7 @@ def test_independent_encoders_share_no_storage(tiny_config):
 def test_param_views_tile_the_vector(tiny_config):
     """Consecutive, non-overlapping views in manifest order that share the
     vector's memory, so an in-place optimiser step reaches ``forward``."""
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     shapes = E.param_shapes(tiny_config)
     views = E.param_views(params, tiny_config)
     assert list(views) == list(shapes) == ["tok_emb", "pos_emb"] + [  # checkpoint order
@@ -203,7 +203,7 @@ def test_param_views_tile_the_vector(tiny_config):
 
 
 def test_param_views_reject_wrong_size(tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     for bad in (params[:-1], np.append(params, 0.0), params.reshape(1, -1)):
         with pytest.raises(E.EncoderError):
             E.param_views(bad, tiny_config)
@@ -214,19 +214,19 @@ def test_param_views_reject_wrong_size(tiny_config):
 def test_init_matches_per_tensor_draws():
     """The vector holds the bits of drawing each tensor in turn: 2-D
     weights from normal(0, 0.02), ``.g`` scales 1, everything else 0."""
-    cfg = EncoderConfig(dim=8, layers=2, heads=2, ff_dim=12, max_len=6, vocab_size=20, seed=11)
-    rng = np.random.default_rng(cfg.seed)
+    cfg = EncoderConfig(dim=8, layers=2, heads=2, ff_dim=12, max_len=6, vocab_size=20)
+    rng = np.random.default_rng(11)
     parts = []
     for name, shape in E.param_shapes(cfg).items():
         if len(shape) == 2:
             parts.append(rng.normal(0.0, 0.02, size=shape))
         else:
             parts.append(np.full(shape, 1.0 if name.endswith(".g") else 0.0))
-    assert np.array_equal(E.init_params(cfg), np.concatenate([p.ravel() for p in parts]))
+    assert np.array_equal(E.init_params(cfg, 11), np.concatenate([p.ravel() for p in parts]))
 
 
 def test_checkpoint_round_trip(tmp_path, tiny_config):
-    params = E.init_params(tiny_config)
+    params = E.init_params(tiny_config, 3)
     path = tmp_path / "enc.ckpt"
     E.save_checkpoint(path, tiny_config, params)
     cfg2, params2 = E.load_checkpoint(path)
@@ -250,7 +250,7 @@ def test_checkpoint_round_trip_property(
     tmp_path_factory, heads, head_dim, layers, ff_dim, max_len, vocab_size, seed, specials
 ):
     cfg = EncoderConfig(dim=heads * head_dim, layers=layers, heads=heads, ff_dim=ff_dim,
-                        max_len=max_len, vocab_size=vocab_size, seed=seed)
+                        max_len=max_len, vocab_size=vocab_size)
     rng = np.random.default_rng(seed)
     count = E.param_count(cfg)
     params = rng.normal(size=count) * 10.0 ** rng.integers(-300, 300, size=count)
@@ -269,7 +269,7 @@ def test_checkpoint_round_trip_property(
 
 def _saved(tmp_path, cfg):
     path = tmp_path / "enc.ckpt"
-    E.save_checkpoint(path, cfg, E.init_params(cfg))
+    E.save_checkpoint(path, cfg, E.init_params(cfg, 3))
     with open(path, "rb") as f:
         raw = f.read()
     (hlen,) = struct.unpack("<Q", raw[8:16])
@@ -283,8 +283,8 @@ def _with_header(header):
 
 @pytest.mark.parametrize("case", [
     "long_body", "short_body", "cut_header", "cut_length", "bad_magic", "not_json",
-    "old_dropout_field", "missing_field", "float_field", "bad_config", "manifest_order",
-    "manifest_shape",
+    "old_dropout_field", "seed_field", "missing_field", "float_field", "bad_config",
+    "manifest_order", "manifest_shape",
 ])
 def test_load_checkpoint_refuses_bad_files(tmp_path, tiny_config, case):
     path, raw, end = _saved(tmp_path, tiny_config)
@@ -304,8 +304,10 @@ def test_load_checkpoint_refuses_bad_files(tmp_path, tiny_config, case):
     else:
         if case == "old_dropout_field":
             header["config"]["dropout"] = 0.0
+        elif case == "seed_field":  # the init seed left the config
+            header["config"]["seed"] = 0
         elif case == "missing_field":
-            del header["config"]["seed"]
+            del header["config"]["max_len"]
         elif case == "float_field":
             header["config"]["dim"] = 8.0
         elif case == "bad_config":
@@ -319,10 +321,11 @@ def test_load_checkpoint_refuses_bad_files(tmp_path, tiny_config, case):
         f.write(raw)
     with pytest.raises(E.EncoderError, match=re.escape(str(path))) as err:
         E.load_checkpoint(path)
-    if case == "old_dropout_field":
-        assert "'dropout'" in str(err.value) and "retrained" in str(err.value)
+    if case in ("old_dropout_field", "seed_field"):
+        field = "'dropout'" if case == "old_dropout_field" else "'seed'"
+        assert field in str(err.value) and "retrained" in str(err.value)
 
 
 def test_save_checkpoint_refuses_wrong_vector(tmp_path, tiny_config):
     with pytest.raises(E.EncoderError):
-        E.save_checkpoint(tmp_path / "x.ckpt", tiny_config, E.init_params(tiny_config)[:-1])
+        E.save_checkpoint(tmp_path / "x.ckpt", tiny_config, E.init_params(tiny_config, 3)[:-1])

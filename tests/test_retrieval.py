@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_full_ordering_consistent_with_pairwise():
 def test_build_index_shapes_and_determinism(toy_world, toy_vocab):
     cfg = EncoderConfig(dim=16, layers=1, heads=2, ff_dim=32, max_len=16,
                         vocab_size=len(toy_vocab))
-    params = init_params(cfg)
+    params = init_params(cfg, 0)
     i1 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab, "cls")
     assert i1.matrix.shape == (3, 16)
     i2 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab, "cls")
@@ -171,7 +172,7 @@ def test_build_index_shapes_and_determinism(toy_world, toy_vocab):
 def test_build_index_conc_special_padded_slots(toy_world, toy_vocab):
     cfg = EncoderConfig(dim=8, layers=0, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
-    params = init_params(cfg)
+    params = init_params(cfg, 0)
     slots = shared_slot_count(False)
     idx = R.build_index(toy_world.entities[:4], params, cfg, toy_vocab, "conc_special")
     assert idx.matrix.shape == (4, slots * 8)
@@ -183,14 +184,16 @@ def test_build_index_empty_dictionary_rejected(toy_vocab):
     cfg = EncoderConfig(dim=8, layers=0, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
     with pytest.raises(R.RetrievalError):
-        R.build_index([], init_params(cfg), cfg, toy_vocab, "cls")
+        R.build_index([], init_params(cfg, 0), cfg, toy_vocab, "cls")
 
 
 def test_build_index_workers_match_serial(toy_world, toy_vocab):
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
-    params = init_params(cfg)
-    entities = toy_world.entities * 7  # three encoder chunks
+    params = init_params(cfg, 0)
+    # three encoder chunks; the ids differ, the texts repeat
+    entities = [replace(e, entity_id=f"{e.entity_id}.{i}")
+                for i in range(7) for e in toy_world.entities]
     serial = R.build_index(entities, params, cfg, toy_vocab, "cls")
     parallel = R.build_index(entities, params, cfg, toy_vocab, "cls", workers=4)
     np.testing.assert_array_equal(serial.matrix, parallel.matrix)
@@ -253,7 +256,7 @@ def _index_with_header(header, body):
 @pytest.mark.parametrize("case", [
     "long_body", "short_body", "cut_header", "cut_length", "bad_magic", "parent_format",
     "not_utf8", "too_deep", "ids_not_strings", "ids_not_list", "unknown_pooling", "types_not_bool",
-    "width_zero", "width_float", "missing_key",
+    "width_zero", "width_float", "missing_key", "repeated_id",
 ])
 def test_load_index_refuses_bad_files(tmp_path, case):
     index = make_index(np.random.default_rng(20), n=4, p=3)
@@ -296,6 +299,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
             header["width"] = 3.0
         elif case == "missing_key":
             del header["pooling"]
+        elif case == "repeated_id":
+            header["ids"][3] = header["ids"][1]
         raw = _index_with_header(header, body)
     with open(prefix + ".mat", "wb") as f:
         f.write(raw)
@@ -303,6 +308,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
         R.load_index(prefix)
     if case == "parent_format":
         assert "embed" in str(err.value)
+    if case == "repeated_id":
+        assert repr(header["ids"][1]) in str(err.value)
 
 
 def test_misaligned_index_rejected():
@@ -310,6 +317,12 @@ def test_misaligned_index_rejected():
         R.EmbeddingIndex(["e1"], np.ones((2, 2)))
     with pytest.raises(R.RetrievalError):
         R.EmbeddingIndex(["e1"], np.array([[np.nan, 1.0]]))
+
+
+def test_repeated_entity_ids_rejected():
+    # Two rows named e1 would let top_k return e1 twice.
+    with pytest.raises(R.RetrievalError, match="'e2'"):
+        R.EmbeddingIndex(["e1", "e2", "e3", "e2", "e1"], np.ones((5, 2)))
 
 
 def _planted(seed, n, p, family, metric, k):

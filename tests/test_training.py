@@ -123,8 +123,8 @@ def test_adamw_vector_step_equals_per_tensor_steps():
     """One update of the whole vector has the bits of updating every named
     tensor on its own."""
     cfg = T.TrainConfig(weight_decay=0.01, learning_rate=1e-2)
-    enc = EncoderConfig(dim=4, layers=1, heads=2, ff_dim=6, max_len=4, vocab_size=5, seed=2)
-    params = init_params(enc)
+    enc = EncoderConfig(dim=4, layers=1, heads=2, ff_dim=6, max_len=4, vocab_size=5)
+    params = init_params(enc, 2)
     per_tensor = {k: v.copy() for k, v in param_views(params, enc).items()}
     opts = {k: T.AdamW(v, cfg) for k, v in per_tensor.items()}
     opt = T.AdamW(params, cfg)
@@ -140,7 +140,7 @@ def test_adamw_vector_step_equals_per_tensor_steps():
 
 def _tiny_pipeline(char_vocab, kind="cls", batch=2):
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=6,
-                        vocab_size=len(char_vocab), seed=0)
+                        vocab_size=len(char_vocab))
     mention_seqs, entity_seqs = [], []
     letters = ["a", "b", "c", "d"]
     for i in range(batch):
@@ -151,8 +151,8 @@ def _tiny_pipeline(char_vocab, kind="cls", batch=2):
         )
         e = EntityRecord(f"e{i}", letters[i], letters[i + 1], "w")
         entity_seqs.append(build_entity_sequence(e, char_vocab, 6))
-    params_m = init_params(cfg)
-    params_e = init_params(EncoderConfig(**{**cfg.__dict__, "seed": 1}))
+    params_m = init_params(cfg, 0)
+    params_e = init_params(cfg, 1)
     return cfg, params_m, params_e, mention_seqs, entity_seqs
 
 
@@ -166,7 +166,7 @@ def test_zero_upstream_means_zero_entity_gradients(char_vocab):
 
 def test_gradient_check_tiny_model(char_vocab):
     cfg, pm, pe, ms, es = _tiny_pipeline(char_vocab)
-    report = T.gradient_check(pm, pe, cfg, cfg, ms, es, "avg", samples_per_tensor=6)
+    report = T.gradient_check(pm, pe, cfg, ms, es, "avg", samples_per_tensor=6)
     assert report.ok(1e-4), (report.max_rel_error, report.worst_param)
 
 
@@ -235,8 +235,8 @@ def test_batched_pooling_equals_row_by_row(toy_world, toy_vocab, kind, typed, ma
     picked = rng.choice(len(pool), size=int(rng.integers(2, 10)), replace=False)
     seqs = [pool[i] for i in picked]
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=max_len,
-                        vocab_size=len(toy_vocab), seed=seed)
-    params = init_params(cfg)
+                        vocab_size=len(toy_vocab))
+    params = init_params(cfg, seed)
     slots = shared_slot_count(typed)
 
     y, state = T.forward_pooled(params, cfg, seqs, kind, slots)
