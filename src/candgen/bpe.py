@@ -1,10 +1,12 @@
 """Byte-pair-encoding subword tokenizer with one fixed reserved special-token set.
 
-Merges are learned word-internally: the input is lower-cased, split on
-whitespace, and every word gets an end-of-word marker so decoding can
-restore word boundaries. Special tokens are atomic: they are never split
-and never participate in merge learning. Every vocabulary begins with
-``SPECIAL_TOKENS``, so a special token has the same id in all of them.
+Training and encoding share one pre-tokenization, ``_pieces``: each
+special-token string in the text is cut out whole, and every other run is
+lower-cased and split on whitespace into words. Merges are learned and
+applied word-internally, and every word gets an end-of-word marker so
+decoding can restore word boundaries. Special tokens are atomic: they are
+never split and never take part in merge learning. Every vocabulary begins
+with ``SPECIAL_TOKENS``, so a special token has the same id in all of them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 END_OF_WORD = "</w>"
 
@@ -149,14 +151,11 @@ class Vocabulary:
     def encode(self, text: str) -> list[int]:
         """Encode text to ids; special-token strings stay atomic."""
         ids: list[int] = []
-        for segment in _SPECIAL_RE.split(text):
-            if not segment:
-                continue
-            if segment in _SPECIAL_ID:
-                ids.append(_SPECIAL_ID[segment])
-                continue
-            for word in segment.lower().split():
-                ids.extend(self._encode_word(word))
+        for piece in _pieces(text):
+            if isinstance(piece, int):
+                ids.append(piece)
+            else:
+                ids.extend(self._encode_word(piece))
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -214,6 +213,16 @@ class Vocabulary:
             raise TokenizerError(f"{vocab_path} with {merges_path}: {e}") from None
 
 
+def _pieces(text: str) -> Iterator[int | str]:
+    """Each special-token string in ``text`` as its id; every other run
+    lower-cased and split on whitespace into words."""
+    for segment in _SPECIAL_RE.split(text):
+        if segment in _SPECIAL_ID:
+            yield _SPECIAL_ID[segment]
+        else:
+            yield from segment.lower().split()
+
+
 def _initial_symbols(word: str) -> list[str]:
     chars = list(word)
     chars[-1] = chars[-1] + END_OF_WORD
@@ -252,11 +261,9 @@ def train_bpe(texts: Iterable[str], target_vocab_size: int) -> Vocabulary:
     Ties between equally frequent pairs go to the lexicographically
     smallest pair, so training is deterministic.
     """
-    word_counts: Counter = Counter()
-    for text in texts:
-        for word in text.lower().split():
-            if word not in _SPECIAL_ID:
-                word_counts[word] += 1
+    word_counts = Counter(
+        piece for text in texts for piece in _pieces(text) if isinstance(piece, str)
+    )
     if not word_counts:
         raise TokenizerError("empty training corpus")
 

@@ -50,21 +50,6 @@ def _write_manifest(path, subcommand: str, options: dict, inputs: list):
         f.write("\n".join(lines) + "\n")
 
 
-def _load_config_file(path) -> dict:
-    """Flat key=value file; keys use the flag spelling without leading dashes."""
-    values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
 def _types_file(args) -> str | None:
     """The --entity-types annotation file, or None when types are off."""
     if args.entity_types and args.entity_types != "off":
@@ -152,8 +137,8 @@ def _retrieve(index, mentions, ys, k: int, metric: str) -> list[retrieval.Retrie
     return [retrieval.top_k(index, y, k, metric, m.mention_id) for m, y in zip(mentions, ys)]
 
 
-def _effective_options(args, skip=("config", "func")) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in skip}
+def _effective_options(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -252,6 +237,7 @@ def cmd_retrieve(args):
 
 
 def _read_results_tsv(path) -> list[retrieval.RetrievalResult]:
+    """One result per mention; each mention's ranks must be exactly 1..n."""
     by_mention: dict[str, list[tuple[int, str, float]]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -262,10 +248,15 @@ def _read_results_tsv(path) -> list[retrieval.RetrievalResult]:
             if len(parts) != 4:
                 raise SystemExit(f"{path}:{lineno}: expected 4 TAB-separated fields")
             mid, rank, eid, score = parts
-            by_mention.setdefault(mid, []).append((int(rank), eid, float(score)))
+            try:
+                by_mention.setdefault(mid, []).append((int(rank), eid, float(score)))
+            except ValueError as e:
+                raise SystemExit(f"{path}:{lineno}: {e}") from None
     results = []
     for mid, rows in by_mention.items():
         rows.sort()
+        if [rank for rank, _, _ in rows] != list(range(1, len(rows) + 1)):
+            raise SystemExit(f"{path}: the ranks of mention {mid!r} are not 1..{len(rows)}")
         results.append(
             retrieval.RetrievalResult(
                 mention_id=mid, candidates=[(eid, score) for _, eid, score in rows]
@@ -274,7 +265,25 @@ def _read_results_tsv(path) -> list[retrieval.RetrievalResult]:
     return results
 
 
+def _results_metric(args) -> str:
+    """The ``metric=`` line of the results' manifest, which ``retrieve``
+    writes, refused when ``--metric`` names another; ``--metric`` without one."""
+    manifest, recorded = args.results + ".manifest", ""
+    if os.path.exists(manifest):
+        with open(manifest, encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("metric="):
+                    recorded = line.rstrip("\n").split("=", 1)[1]
+    if recorded and args.metric and args.metric != recorded:
+        raise SystemExit(
+            f"{args.results} was retrieved with metric {recorded} ({manifest}), "
+            f"but eval was given --metric {args.metric}"
+        )
+    return recorded or args.metric
+
+
 def cmd_eval(args):
+    args.metric = _results_metric(args)
     results = _read_results_tsv(args.results)
     mentions = load_mentions(args.mentions)
     gold = {m.mention_id: m.gold_entity_id for m in mentions}
@@ -371,8 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="candgen",
         description="Dense-retrieval candidate generation for entity linking.",
+        fromfile_prefix_chars="@",
     )
-    parser.add_argument("--config", help="flat key=value config file; flags win")
+    # An @file holds whitespace-separated arguments; a line starting with # is
+    # a comment. They expand in place, so a later flag wins.
+    parser.convert_arg_line_to_args = lambda line: (
+        [] if line.lstrip().startswith("#") else line.split()
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("train-bpe", help="learn a BPE vocabulary")
@@ -422,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results", required=True, help="retrieve output TSV")
     p.add_argument("--mentions", required=True, help="gold mention file")
     p.add_argument("--ks", default=",".join(map(str, evaluation.DEFAULT_K_GRID)))
-    p.add_argument("--metric", default="", help="recorded in the report only")
+    p.add_argument("--metric", default="", help="checked against the results' manifest")
     p.add_argument("--out", required=True, help="report file prefix")
     p.set_defaults(func=cmd_eval)
 
@@ -442,44 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list) -> list:
-    """Inject key=value config entries right after the subcommand token.
-
-    Explicit flags come later in argv and therefore win. The scan stops at
-    the subcommand (the first non-flag token), so only the top-level
-    ``--config`` is honoured.
-    """
-    config_path = None
-    sub_idx = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            config_path = tok.split("=", 1)[1]
-            i += 1
-            continue
-        if not tok.startswith("-"):
-            sub_idx = i
-            break
-        i += 1
-    if config_path is None or sub_idx is None:
-        return argv
-    injected: list[str] = []
-    for key, value in sorted(_load_config_file(config_path).items()):
-        injected.append(f"--{key.replace('_', '-')}")
-        injected.extend(value.split())
-    return argv[: sub_idx + 1] + injected + argv[sub_idx + 1 :]
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_apply_config(list(argv)))
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as e:

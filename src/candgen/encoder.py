@@ -103,17 +103,25 @@ def _layernorm_forward(x, g, b):
     return xhat * g + b, (xhat, inv)
 
 
-def _layernorm_backward(dy, g, cache):
+def _layernorm_backward(dy, g, cache, dg, db):
+    """Write the scale and offset gradients into ``dg`` and ``db``; return dx."""
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dg[...] = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db[...] = dy.sum(axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dg, db
+
+
+def _linear_backward(dy, x, w, dw, db):
+    """For ``y = x @ w + b`` on (B, n, .) arrays: write the weight and bias
+    gradients into ``dw`` and ``db``; return dx."""
+    dw[...] = np.einsum("bni,bnj->ij", x, dy)
+    db[...] = dy.sum(axis=(0, 1))
+    return dy @ w.T
 
 
 def _gelu(x):
@@ -206,22 +214,15 @@ def backward(cache: dict, dh: np.ndarray) -> np.ndarray:
     dx = dh * real[:, :, None]
     for i in reversed(range(config.layers)):
         c = cache["layers"][i]
-        pre = f"l{i}."
-        grads[pre + "ffn.b2"][...] = dx.sum(axis=(0, 1))
-        grads[pre + "ffn.w2"][...] = np.einsum("bnf,bnd->fd", c["act"], dx)
-        dact = dx @ params[pre + "ffn.w2"].T
+        p = lambda name: params[f"l{i}.{name}"]
+        g = lambda name: grads[f"l{i}.{name}"]
+        dact = _linear_backward(dx, c["act"], p("ffn.w2"), g("ffn.w2"), g("ffn.b2"))
         df1 = _gelu_backward(dact, c["f1"], c["gelu_t"])
-        grads[pre + "ffn.b1"][...] = df1.sum(axis=(0, 1))
-        grads[pre + "ffn.w1"][...] = np.einsum("bnd,bnf->df", c["w"], df1)
-        dw = df1 @ params[pre + "ffn.w1"].T
-        da_ln, grads[pre + "ln2.g"][...], grads[pre + "ln2.b"][...] = _layernorm_backward(
-            dw, params[pre + "ln2.g"], c["ln2"]
-        )
-        da = dx + da_ln
+        dw = _linear_backward(df1, c["w"], p("ffn.w1"), g("ffn.w1"), g("ffn.b1"))
+        da = dx + _layernorm_backward(dw, p("ln2.g"), c["ln2"], g("ln2.g"), g("ln2.b"))
 
-        grads[pre + "attn.bo"][...] = da.sum(axis=(0, 1))
-        grads[pre + "attn.wo"][...] = np.einsum("bnd,bne->de", c["ctx"], da)
-        dctx = _split_heads(da @ params[pre + "attn.wo"].T, config.heads)
+        dctx = _linear_backward(da, c["ctx"], p("attn.wo"), g("attn.wo"), g("attn.bo"))
+        dctx = _split_heads(dctx, config.heads)
         probs = c["probs"]
         dprobs = dctx @ c["v"].transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ dctx
@@ -229,15 +230,10 @@ def backward(cache: dict, dh: np.ndarray) -> np.ndarray:
         dq = dscores @ c["k"] * scale
         dk = dscores.transpose(0, 1, 3, 2) @ c["q"] * scale
         du = np.zeros_like(c["u"])
-        for proj, dval in (("wq", dq), ("wk", dk), ("wv", dv)):
-            dflat = _merge_heads(dval)
-            grads[pre + f"attn.{proj}"][...] = np.einsum("bnd,bne->de", c["u"], dflat)
-            grads[pre + "attn.b" + proj[1]][...] = dflat.sum(axis=(0, 1))
-            du += dflat @ params[pre + f"attn.{proj}"].T
-        dx_ln, grads[pre + "ln1.g"][...], grads[pre + "ln1.b"][...] = _layernorm_backward(
-            du, params[pre + "ln1.g"], c["ln1"]
-        )
-        dx = da + dx_ln
+        for proj, dval in (("q", dq), ("k", dk), ("v", dv)):
+            du += _linear_backward(_merge_heads(dval), c["u"], p(f"attn.w{proj}"),
+                                   g(f"attn.w{proj}"), g(f"attn.b{proj}"))
+        dx = da + _layernorm_backward(du, p("ln1.g"), c["ln1"], g("ln1.g"), g("ln1.b"))
 
     grads["pos_emb"][: dx.shape[1]] = dx.sum(axis=0)
     np.add.at(grads["tok_emb"], ids, dx)

@@ -214,6 +214,8 @@ def build_index(
     entities = list(entities)
     if not entities:
         raise RetrievalError("cannot build an index over an empty dictionary")
+    if workers < 1:
+        raise RetrievalError(f"workers {workers} must be at least 1")
     seqs = [
         build_entity_sequence(e, vocab, enc_cfg.max_len, use_entity_type)
         for e in entities

@@ -3,9 +3,10 @@
 Mention side: ``[CLS] ctxtl [Ms] mention [Me] ctxtr [SEP]``, optionally
 prefixed with ``[ent_type] mention [H_SEP]`` right after ``[CLS]``.
 Entity side: ``[CLS] title [ENT] description [SEP]``, optionally with the
-type token after ``[CLS]``. Sequences are padded to a fixed length and
-carry a role -> position map for the special tokens so pooling can find
-them.
+type token after ``[CLS]``. Each builder declares its layout as one list
+of parts, special-token strings and runs of ids; ``_assemble`` pads it to
+a fixed length and records where the special tokens sit, so pooling can
+find them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bpe import UNKNOWN_TYPE, Vocabulary, type_token
+from .bpe import Vocabulary, type_token
 from .corpus import EntityRecord, MentionRecord
 
 
@@ -26,11 +27,7 @@ class TemplateError(ValueError):
 class TokenSequence:
     ids: np.ndarray  # int64, length max_len, [PAD]-padded
     attn_len: int
-    special_positions: list[tuple[str, int]]  # (role, index), increasing index
-
-    @property
-    def special_indices(self) -> list[int]:
-        return [i for _, i in self.special_positions]
+    special_indices: list[int]  # positions of the special tokens, increasing
 
 
 def special_count(side: str, use_entity_type: bool) -> int:
@@ -58,11 +55,20 @@ def _split_context_budget(budget: int, n_left: int, n_right: int) -> tuple[int, 
     return left, right
 
 
-def _finish(ids: list[int], specials: list[tuple[str, int]], vocab, max_len):
-    attn_len = len(ids)
+def _assemble(parts: list, vocab: Vocabulary, max_len: int) -> TokenSequence:
+    """Concatenate ``parts`` in order, each a special-token string or a run
+    of ids, and pad to ``max_len``."""
+    ids: list[int] = []
+    specials: list[int] = []
+    for part in parts:
+        if isinstance(part, str):
+            specials.append(len(ids))
+            ids.append(vocab.special_id(part))
+        else:
+            ids.extend(part)
     padded = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    padded[:attn_len] = ids
-    return TokenSequence(ids=padded, attn_len=attn_len, special_positions=specials)
+    padded[: len(ids)] = ids
+    return TokenSequence(ids=padded, attn_len=len(ids), special_indices=specials)
 
 
 def build_mention_sequence(
@@ -93,33 +99,17 @@ def build_mention_sequence(
     body = mention_ids[:budget]
     budget -= len(body)
 
-    prefix_ids: list[int] = []
+    typed: list = []  # [type token, the mention again, [H_SEP]] when types are on
     if use_entity_type:
-        prefix_ids = mention_ids[:budget]
-        budget -= len(prefix_ids)
+        typed = [type_token(mention.entity_type), mention_ids[:budget], "[H_SEP]"]
+        budget -= len(typed[1])
     n_left, n_right = _split_context_budget(budget, len(left_ids), len(right_ids))
     left = left_ids[len(left_ids) - n_left :]
     right = right_ids[:n_right]
 
-    ids: list[int] = [vocab.cls_id]
-    specials: list[tuple[str, int]] = [("cls", 0)]
-    if use_entity_type:
-        label = mention.entity_type or UNKNOWN_TYPE
-        ids.append(vocab.special_id(type_token(label)))
-        specials.append(("type", len(ids) - 1))
-        ids.extend(prefix_ids)
-        ids.append(vocab.special_id("[H_SEP]"))
-        specials.append(("h_sep", len(ids) - 1))
-    ids.extend(left)
-    ids.append(vocab.special_id("[Ms]"))
-    specials.append(("ms", len(ids) - 1))
-    ids.extend(body)
-    ids.append(vocab.special_id("[Me]"))
-    specials.append(("me", len(ids) - 1))
-    ids.extend(right)
-    ids.append(vocab.sep_id)
-    specials.append(("sep", len(ids) - 1))
-    return _finish(ids, specials, vocab, max_len)
+    return _assemble(
+        ["[CLS]", *typed, left, "[Ms]", body, "[Me]", right, "[SEP]"], vocab, max_len
+    )
 
 
 def build_entity_sequence(
@@ -142,19 +132,8 @@ def build_entity_sequence(
     title = title_ids[:budget]
     desc = desc_ids[: budget - len(title)]
 
-    ids: list[int] = [vocab.cls_id]
-    specials: list[tuple[str, int]] = [("cls", 0)]
-    if use_entity_type:
-        label = entity.entity_type or UNKNOWN_TYPE
-        ids.append(vocab.special_id(type_token(label)))
-        specials.append(("type", len(ids) - 1))
-    ids.extend(title)
-    ids.append(vocab.special_id("[ENT]"))
-    specials.append(("ent", len(ids) - 1))
-    ids.extend(desc)
-    ids.append(vocab.sep_id)
-    specials.append(("sep", len(ids) - 1))
-    return _finish(ids, specials, vocab, max_len)
+    typed = [type_token(entity.entity_type)] if use_entity_type else []
+    return _assemble(["[CLS]", *typed, title, "[ENT]", desc, "[SEP]"], vocab, max_len)
 
 
 def format_sequence(seq: TokenSequence, vocab: Vocabulary) -> str:

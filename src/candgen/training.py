@@ -45,6 +45,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise TrainingError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise TrainingError("epochs must be >= 1")
+        if self.weight_decay < 0:
+            raise TrainingError("weight_decay must not be negative")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
         if self.pooling_kind not in pooling.ALL_KINDS:

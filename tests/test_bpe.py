@@ -96,6 +96,14 @@ def test_specials_inside_text_stay_atomic():
     assert vocab.decode(ids) == "hello [Ms] world [Me]"
 
 
+def test_training_learns_no_special_token_strings():
+    # Training cuts special-token strings out of the text as encoding does,
+    # so none is lower-cased and learned as an ordinary word.
+    vocab = train_bpe(["[Ms] hello [Me] world [PERSON]"] * 3, 67)
+    assert [t for t in vocab.id_to_token[N_SPECIAL:] if "[" in t] == []
+    assert vocab.encode("[Ms] hello") == [vocab.special_id("[Ms]"), *vocab.encode("hello")]
+
+
 def test_unknown_characters_map_to_unk():
     vocab = train_bpe(["ab"], len(SPECIALS) + 8)
     ids = vocab.encode("aZ9")  # z and 9 unseen in training (lowercased)
@@ -269,6 +277,32 @@ def test_vocabulary_round_trip_property(tmp_path_factory, corpus, merges):
     assert loaded.encode(text) == vocab.encode(text)
     with open(d / "v.vocab", encoding="utf-8") as f:
         assert tuple(f.read().split("\n")[: len(SPECIALS)]) == SPECIALS
+
+
+# Chunks of a text: a word or a special-token string, each followed by
+# nothing (so a special sits inside a word) or by a space.
+_planted_text = st.lists(
+    st.tuples(
+        st.one_of(st.text(alphabet="abcMSPmse", min_size=1, max_size=5),
+                  st.sampled_from(SPECIALS)),
+        st.sampled_from(["", " "]),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(_planted_text, min_size=1, max_size=6), merges=st.integers(0, 30))
+def test_training_ignores_special_strings_property(texts, merges):
+    planted = ["".join(chunk + sep for chunk, sep in t) for t in texts]
+    blanked = ["".join((" " if chunk in SPECIALS else chunk) + sep for chunk, sep in t)
+               for t in texts]
+    if not " ".join(blanked).split():
+        planted, blanked = planted + ["a"], blanked + ["a"]
+    size = _budget(blanked, merges)
+    with_specials, without = train_bpe(planted, size), train_bpe(blanked, size)
+    assert with_specials.id_to_token == without.id_to_token
+    assert with_specials.merges == without.merges
 
 
 @pytest.mark.parametrize("case", [

@@ -2,6 +2,9 @@ import filecmp
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,13 +230,111 @@ def test_missing_input_file_fails(tmp_path):
 
 
 def test_config_file_with_flag_override(toy_files, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("vocab-size=120\nout=" + str(tmp_path / "cfgvocab") + "\n")
-    run(["--config", str(cfg), "train-bpe", "--input", toy_files["entities"],
-         "--vocab-size", "140"])  # flag wins over the config value
-    with open(str(tmp_path / "cfgvocab") + ".vocab") as f:
+    args = tmp_path / "run.args"
+    args.write_text("# a comment line\n--vocab-size 120\n  --out " + str(tmp_path / "v") + "\n")
+    run(["train-bpe", "--input", toy_files["entities"], "@" + str(args),
+         "--vocab-size", "140"])  # a flag after the file wins
+    with open(str(tmp_path / "v") + ".vocab") as f:
         n_tokens = sum(1 for _ in f)
     assert n_tokens == 140
+
+
+def test_missing_args_file_is_named(tmp_path, capsys):
+    absent = str(tmp_path / "absent.args")
+    with pytest.raises(SystemExit) as exc:
+        main(["train-bpe", "@" + absent])
+    assert exc.value.code != 0
+    assert absent in capsys.readouterr().err
+
+
+def _eval(results, toy_files, out, *flags):
+    return main(["eval", "--results", str(results), "--mentions", toy_files["mentions"],
+                 "--ks", "1,4", "--out", str(out), *flags])
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda rows: rows + rows, "ranks of mention 'm000' are not 1..10"),
+    (lambda rows: [r for r in rows if r.split("\t")[1] != "3"],
+     "ranks of mention 'm000' are not 1..4"),
+    (lambda rows: rows[:2] + [rows[2].replace("\t3\t", "\tthird\t")] + rows[3:],
+     "results.tsv:3: invalid literal for int()"),
+    (lambda rows: rows[:4] + [rows[4].rsplit("\t", 1)[0] + "\tnan?"] + rows[5:],
+     "results.tsv:5: could not convert"),
+], ids=["repeated_ranks", "missing_rank", "bad_rank", "bad_score"])
+def test_eval_refuses_malformed_ranks(pipeline, toy_files, tmp_path, capsys, change, message):
+    with open(pipeline["results"]) as f:
+        rows = f.read().splitlines()
+    assert rows[0].startswith("m000\t1\t")
+    results = tmp_path / "results.tsv"
+    results.write_text("\n".join(change(rows)) + "\n")
+    assert _eval(results, toy_files, tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert message in err and str(results) in err
+    assert not os.path.exists(tmp_path / "eval.report")
+
+
+def test_eval_takes_the_metric_from_the_results_manifest(pipeline, toy_files, tmp_path, capsys):
+    """``pipeline`` retrieved with --metric dot; the report says so without
+    the flag, and eval refuses a flag that says otherwise."""
+    assert _eval(pipeline["results"], toy_files, tmp_path / "plain") == 0
+    assert "metric\tdot" in (tmp_path / "plain.report").read_text().splitlines()
+    assert _eval(pipeline["results"], toy_files, tmp_path / "other", "--metric", "cosine") == 1
+    err = capsys.readouterr().err
+    assert "metric dot" in err and "--metric cosine" in err
+    assert not os.path.exists(tmp_path / "other.report")
+    bare = tmp_path / "bare.tsv"  # no manifest beside it: --metric is taken as given
+    bare.write_text(Path(pipeline["results"]).read_text())
+    assert _eval(bare, toy_files, tmp_path / "bare", "--metric", "cosine") == 0
+    assert "metric\tcosine" in (tmp_path / "bare.report").read_text().splitlines()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--weight-decay", "-5"], "weight_decay must not be negative"),
+])
+def test_train_rejects_senseless_settings(toy_files, pipeline, tmp_path, capsys, flags, message):
+    model = str(tmp_path / "model")
+    code = main(["train", "--entities", toy_files["entities"], "--mentions", toy_files["mentions"],
+                 "--documents", toy_files["documents"], "--vocab", pipeline["vocab"],
+                 "--out", model, *TINY, *flags])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(model)
+
+
+def test_embed_rejects_zero_workers(toy_files, pipeline, tmp_path, capsys):
+    out = str(tmp_path / "index")
+    code = main(["embed", "--entities", toy_files["entities"], "--vocab", pipeline["vocab"],
+                 "--checkpoint", os.path.join(pipeline["model"], "entity.ckpt"),
+                 "--pooling", "avg", "--workers", "0", "--out", out])
+    assert code == 1
+    assert "workers 0 must be at least 1" in capsys.readouterr().err
+    assert not os.path.exists(out + ".mat")
+
+
+def test_artifact_grid_reruns_are_byte_identical(tmp_path):
+    """Two runs of tools/artifact_grid.py: a vocabulary, 12 training cells
+    (6 poolings x types off/on) with their index, 36 result files and
+    reports, and a 2-seed experiment grid, all byte-identical."""
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.Popen([sys.executable, str(root / "tools" / "artifact_grid.py"),
+                          str(tmp_path / name)], env={**os.environ, "PYTHONPATH": pythonpath},
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for name in ("a", "b")
+    ]
+    for proc in runs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()
+    files = {
+        name: sorted(p.relative_to(tmp_path / name)
+                     for p in (tmp_path / name).rglob("*") if p.is_file())
+        for name in ("a", "b")
+    }
+    assert files["a"] == files["b"] and len(files["a"]) == 261
+    for rel in files["a"]:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
 
 def test_same_seed_reruns_are_byte_identical(toy_files, tmp_path):

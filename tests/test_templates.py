@@ -20,6 +20,11 @@ def mention(start, end, entity_type="<unk>"):
     return MentionRecord("m1", "d1", start, end, "e1", "w", entity_type=entity_type)
 
 
+def specials_at(seq, vocab):
+    """The token strings at the sequence's special indices, in order."""
+    return [vocab.id_to_token[i] for i in seq.ids[seq.special_indices]]
+
+
 def test_basic_mention_layout(char_vocab):
     v = char_vocab
     seq = build_mention_sequence(mention(1, 1), ["a", "b", "c"], v, max_len=8)
@@ -29,7 +34,8 @@ def test_basic_mention_layout(char_vocab):
     ]
     assert seq.ids.tolist() == expected
     assert seq.attn_len == 7
-    assert seq.special_positions == [("cls", 0), ("ms", 2), ("me", 4), ("sep", 6)]
+    assert seq.special_indices == [0, 2, 4, 6]
+    assert specials_at(seq, v) == ["[CLS]", "[Ms]", "[Me]", "[SEP]"]
 
 
 def test_typed_mention_layout(char_vocab):
@@ -44,8 +50,8 @@ def test_typed_mention_layout(char_vocab):
         tok(v, "c"), v.sep_id,
     ]
     assert seq.ids.tolist() == expected
-    assert [r for r, _ in seq.special_positions] == ["cls", "type", "h_sep", "ms", "me", "sep"]
-    assert seq.special_positions[1][1] == 1  # type token right after [CLS]
+    assert seq.special_indices == [0, 1, 3, 5, 7, 9]  # type token right after [CLS]
+    assert specials_at(seq, v) == ["[CLS]", "[PERSON]", "[H_SEP]", "[Ms]", "[Me]", "[SEP]"]
 
 
 def test_long_context_truncation_balanced(char_vocab):
@@ -89,7 +95,8 @@ def test_basic_entity_layout(char_vocab):
         v.sep_id, v.pad_id, v.pad_id,
     ]
     assert seq.ids.tolist() == expected
-    assert seq.special_positions == [("cls", 0), ("ent", 2), ("sep", 5)]
+    assert seq.special_indices == [0, 2, 5]
+    assert specials_at(seq, v) == ["[CLS]", "[ENT]", "[SEP]"]
 
 
 def test_typed_entity_layout(char_vocab):
@@ -101,6 +108,8 @@ def test_typed_entity_layout(char_vocab):
         tok(v, "b"), tok(v, "c"), v.sep_id, v.pad_id,
     ]
     assert seq.ids.tolist() == expected
+    assert seq.special_indices == [0, 1, 3, 6]
+    assert specials_at(seq, v) == ["[CLS]", "[LOC]", "[ENT]", "[SEP]"]
 
 
 def test_entity_description_tail_truncated(char_vocab):
@@ -135,8 +144,8 @@ def test_special_positions_strictly_increasing(toy_world, toy_vocab):
         idx = seq.special_indices
         assert idx == sorted(idx)
         assert len(set(idx)) == len(idx)
-        for role, pos in seq.special_positions:
-            assert pos < seq.attn_len
+        assert all(pos < seq.attn_len for pos in idx)
+        assert specials_at(seq, toy_vocab) == ["[CLS]", "[Ms]", "[Me]", "[SEP]"]
 
 
 def test_larger_max_len_preserves_relative_order(toy_world, toy_vocab):
