@@ -118,19 +118,17 @@ def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
 
 
 def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg, kind, use_types):
-    """Pooled mention vectors, encoded ``retrieval.EMBED_CHUNK`` at a time."""
+    """Pooled mention vectors, one row per mention (``retrieval.encode_chunked``)."""
     seqs = [
         build_mention_sequence(
             m, documents[m.context_document_id], vocab, enc_cfg.max_len, use_types
         )
         for m in mentions
     ]
-    slots, step = shared_slot_count(use_types), retrieval.EMBED_CHUNK
-    return [
-        y
-        for i in range(0, len(seqs), step)
-        for y in forward_pooled(params_m, enc_cfg, seqs[i : i + step], kind, slots)[0]
-    ]
+    slots = shared_slot_count(use_types)
+    return retrieval.encode_chunked(
+        seqs, lambda c: forward_pooled(params_m, enc_cfg, c, kind, slots)[0]
+    )
 
 
 def _retrieve(index, mentions, ys, k: int, metric: str) -> list[retrieval.RetrievalResult]:
@@ -189,7 +187,7 @@ def cmd_embed(args):
     entities = _typed(World(args.world, entities, {}), types_file).entities
     index = retrieval.build_index(
         entities, params_e, enc_cfg, vocab, args.pooling,
-        use_entity_type=types_file is not None, workers=args.workers,
+        use_entity_type=types_file is not None,
     )
     retrieval.save_index(index, args.out)
     _write_manifest(
@@ -229,7 +227,8 @@ def cmd_retrieve(args):
             for rank, (eid, score) in enumerate(r.candidates, 1):
                 f.write(f"{r.mention_id}\t{rank}\t{eid}\t{score:.12g}\n")
     _write_manifest(
-        args.out + ".manifest", "retrieve", _effective_options(args),
+        args.out + ".manifest", "retrieve",
+        {**_effective_options(args), "results_sha256": _sha256(args.out)},
         _inputs(args, args.mentions, args.documents, args.checkpoint, args.index + ".mat"),
     )
     print(f"retrieved top-{args.k} for {len(results)} mentions -> {args.out}")
@@ -267,13 +266,19 @@ def _read_results_tsv(path) -> list[retrieval.RetrievalResult]:
 
 def _results_metric(args) -> str:
     """The ``metric=`` line of the results' manifest, which ``retrieve``
-    writes, refused when ``--metric`` names another; ``--metric`` without one."""
-    manifest, recorded = args.results + ".manifest", ""
+    writes, refused when ``--metric`` names another; ``--metric`` without one.
+    A manifest whose ``results_sha256=`` line is not the results' digest is
+    refused: it describes other results."""
+    manifest, fields = args.results + ".manifest", {}
     if os.path.exists(manifest):
         with open(manifest, encoding="utf-8") as f:
-            for line in f:
-                if line.startswith("metric="):
-                    recorded = line.rstrip("\n").split("=", 1)[1]
+            fields = dict(line.rstrip("\n").split("=", 1) for line in f if "=" in line)
+        if fields.get("results_sha256") != _sha256(args.results):
+            raise SystemExit(
+                f"{manifest} does not describe {args.results}: the results digest it "
+                "records is not the file's"
+            )
+    recorded = fields.get("metric", "")
     if recorded and args.metric and args.metric != recorded:
         raise SystemExit(
             f"{args.results} was retrieved with metric {recorded} ({manifest}), "
@@ -415,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", default="world")
     p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
     p.add_argument("--entity-types", default="off")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True, help="index file prefix")
     p.set_defaults(func=cmd_embed)
 

@@ -68,6 +68,12 @@ def _read_jsonl(path):
                 raise CorpusParseError(f"{path}:{lineno}: malformed line ({e.msg})") from e
 
 
+def _check_id(path, lineno: int, name: str, ident: str) -> None:
+    """Ids are written into TAB-separated, line-based files (results, types)."""
+    if any(c in ident for c in "\t\r\n"):
+        raise CorpusValidationError(f"{path}:{lineno}: {name} {ident!r} holds a TAB, CR or LF")
+
+
 def load_entities(path, world: str) -> list[EntityRecord]:
     """Load an entity dictionary file for one world."""
     records: list[EntityRecord] = []
@@ -82,6 +88,7 @@ def load_entities(path, world: str) -> list[EntityRecord]:
             )
         except KeyError as e:
             raise CorpusParseError(f"{path}:{lineno}: missing key {e.args[0]!r}") from e
+        _check_id(path, lineno, "entity_id", rec.entity_id)
         if not rec.title:
             raise CorpusValidationError(f"{path}:{lineno}: empty title")
         if rec.entity_id in seen:
@@ -109,6 +116,7 @@ def load_mentions(path) -> list[MentionRecord]:
             )
         except KeyError as e:
             raise CorpusParseError(f"{path}:{lineno}: missing key {e.args[0]!r}") from e
+        _check_id(path, lineno, "mention_id", rec.mention_id)
         if rec.start_index < 0 or rec.start_index > rec.end_index:
             raise CorpusValidationError(
                 f"mention {rec.mention_id}: invalid span "

@@ -22,6 +22,7 @@ once the index is built.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,7 +37,7 @@ DOT = "dot"
 COSINE = "cosine"
 EUCLIDEAN = "euclidean"
 ALL_METRICS = (DOT, COSINE, EUCLIDEAN)
-EMBED_CHUNK = 64  # sequences per encoder forward pass
+EMBED_CHUNK = 32  # sequences per encoder forward pass, and per thread in flight
 NORM_BLOCK = 2048  # rows per block when computing the memoised row norms
 
 
@@ -197,6 +198,33 @@ def top_k(
     )
 
 
+def _usable_cpus() -> int:
+    """``nproc``, or every CPU where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def encode_chunked(seqs: list, encode) -> np.ndarray:
+    """The (N, P) rows of ``encode`` over ``EMBED_CHUNK``-sized chunks of ``seqs``,
+    in input order, on T = ``min(usable CPUs, chunks)`` threads that each take
+    every T-th chunk. The calling thread is one of them, so one chunk starts no
+    thread and the pool adds T - 1 (each pool thread's allocations add to peak
+    memory). A row does not depend on its chunk: the rows are the same for any
+    T. No sequences give a (0, 0) matrix."""
+    chunks = [seqs[i : i + EMBED_CHUNK] for i in range(0, len(seqs), EMBED_CHUNK)]
+    threads = max(1, min(_usable_cpus(), len(chunks)))
+
+    def run(t):
+        return [encode(c) for c in chunks[t::threads]]
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # T - 1 threads start
+        rest = pool.map(run, range(1, threads))
+        parts = [run(0), *rest]
+    blocks = [parts[i % threads][i // threads] for i in range(len(chunks))]
+    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
+
+
 def build_index(
     entities,
     params_e: np.ndarray,
@@ -204,7 +232,6 @@ def build_index(
     vocab,
     pooling_kind: str,
     use_entity_type: bool = False,
-    workers: int = 1,
 ) -> EmbeddingIndex:
     """Embed every dictionary entry once; one matrix row per entity.
 
@@ -214,24 +241,14 @@ def build_index(
     entities = list(entities)
     if not entities:
         raise RetrievalError("cannot build an index over an empty dictionary")
-    if workers < 1:
-        raise RetrievalError(f"workers {workers} must be at least 1")
     seqs = [
         build_entity_sequence(e, vocab, enc_cfg.max_len, use_entity_type)
         for e in entities
     ]
     slot_count = shared_slot_count(use_entity_type)
-
-    def embed_chunk(chunk):
-        return forward_pooled(params_e, enc_cfg, chunk, pooling_kind, slot_count)[0]
-
-    chunks = [seqs[i : i + EMBED_CHUNK] for i in range(0, len(seqs), EMBED_CHUNK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(embed_chunk, chunks))
-    else:
-        blocks = [embed_chunk(c) for c in chunks]
-    matrix = np.concatenate(blocks, axis=0)
+    matrix = encode_chunked(
+        seqs, lambda c: forward_pooled(params_e, enc_cfg, c, pooling_kind, slot_count)[0]
+    )
     return EmbeddingIndex(
         entity_ids=[e.entity_id for e in entities],
         matrix=matrix,

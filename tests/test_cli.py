@@ -288,6 +288,36 @@ def test_eval_takes_the_metric_from_the_results_manifest(pipeline, toy_files, tm
     assert "metric\tcosine" in (tmp_path / "bare.report").read_text().splitlines()
 
 
+def _retrieve_argv(pipeline, toy_files, mentions, metric, out):
+    return ["retrieve", "--index", pipeline["index"],
+            "--checkpoint", os.path.join(pipeline["model"], "mention.ckpt"),
+            "--mentions", str(mentions), "--documents", toy_files["documents"],
+            "--vocab", pipeline["vocab"], "--metric", metric, "--k", "5", "--pooling", "avg",
+            "--out", str(out)]
+
+
+def test_eval_refuses_a_manifest_of_other_results(pipeline, toy_files, tmp_path, capsys):
+    """Cosine results copied over dot results keep the dot manifest; eval
+    must not report them as dot."""
+    dot, cosine = tmp_path / "dot.tsv", tmp_path / "cosine.tsv"
+    run(_retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", dot))
+    run(_retrieve_argv(pipeline, toy_files, toy_files["mentions"], "cosine", cosine))
+    assert dot.read_bytes() != cosine.read_bytes()
+    dot.write_bytes(cosine.read_bytes())
+    assert _eval(dot, toy_files, tmp_path / "eval") == 1
+    err = capsys.readouterr().err
+    assert f"{dot}.manifest does not describe {dot}" in err
+    assert not os.path.exists(tmp_path / "eval.report")
+
+
+def test_retrieve_of_no_mentions_writes_empty_results(pipeline, toy_files, tmp_path):
+    none, out = tmp_path / "none.jsonl", tmp_path / "results.tsv"
+    none.write_text("")
+    run(_retrieve_argv(pipeline, toy_files, none, "dot", out))
+    assert out.read_text() == ""
+    assert os.path.exists(f"{out}.manifest")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "0"], "epochs must be >= 1"),
     (["--weight-decay", "-5"], "weight_decay must not be negative"),
@@ -302,20 +332,11 @@ def test_train_rejects_senseless_settings(toy_files, pipeline, tmp_path, capsys,
     assert not os.path.exists(model)
 
 
-def test_embed_rejects_zero_workers(toy_files, pipeline, tmp_path, capsys):
-    out = str(tmp_path / "index")
-    code = main(["embed", "--entities", toy_files["entities"], "--vocab", pipeline["vocab"],
-                 "--checkpoint", os.path.join(pipeline["model"], "entity.ckpt"),
-                 "--pooling", "avg", "--workers", "0", "--out", out])
-    assert code == 1
-    assert "workers 0 must be at least 1" in capsys.readouterr().err
-    assert not os.path.exists(out + ".mat")
-
-
 def test_artifact_grid_reruns_are_byte_identical(tmp_path):
     """Two runs of tools/artifact_grid.py: a vocabulary, 12 training cells
-    (6 poolings x types off/on) with their index, 36 result files and
-    reports, and a 2-seed experiment grid, all byte-identical."""
+    (6 poolings x types off/on) with their index of three encoder chunks,
+    36 result files and reports, and a 2-seed experiment grid, all
+    byte-identical."""
     root = Path(__file__).resolve().parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     runs = [

@@ -90,6 +90,20 @@ def test_duplicate_mention_id_rejected(tmp_path):
         C.load_mentions(path)
 
 
+@pytest.mark.parametrize("bad", ["e\t0", "e\r0", "e\n0"], ids=["tab", "cr", "lf"])
+def test_ids_that_would_break_a_tsv_line_rejected(tmp_path, bad):
+    """Results and type files are TAB-separated lines; such an id would
+    corrupt them, so it is refused where it enters."""
+    entities, mentions = tmp_path / "e.jsonl", tmp_path / "m.jsonl"
+    write_jsonl(entities, [{"document_id": "e1", "title": "A", "text": "B"},
+                           {"document_id": bad, "title": "C", "text": "D"}])
+    with pytest.raises(CorpusValidationError, match=r"e\.jsonl:2: entity_id 'e\\[trn]0'"):
+        C.load_entities(entities, "w")
+    write_jsonl(mentions, [_mention_row(), _mention_row(mention_id=bad)])
+    with pytest.raises(CorpusValidationError, match=r"m\.jsonl:2: mention_id 'e\\[trn]0'"):
+        C.load_mentions(mentions)
+
+
 def test_inverted_span_rejected(tmp_path):
     path = tmp_path / "m.jsonl"
     write_jsonl(path, [_mention_row(start_index=3, end_index=1)])

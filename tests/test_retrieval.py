@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from candgen import pooling
 from candgen import retrieval as R
 from candgen.encoder import EncoderConfig, init_params
-from candgen.templates import shared_slot_count
+from candgen.templates import build_entity_sequence, build_mention_sequence, shared_slot_count
+from candgen.training import forward_pooled
 
 
 def brute_force_pairs(ids, matrix, query, metric):
@@ -187,17 +188,31 @@ def test_build_index_empty_dictionary_rejected(toy_vocab):
         R.build_index([], init_params(cfg, 0), cfg, toy_vocab, "cls")
 
 
-def test_build_index_workers_match_serial(toy_world, toy_vocab):
+def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
+    """Entity and mention sequences over three chunks on two threads get the
+    rows ``forward_pooled`` gives each sequence alone, under every pooling."""
+    monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
     params = init_params(cfg, 0)
-    # three encoder chunks; the ids differ, the texts repeat
+    slots = shared_slot_count(True)
+    # 80 entities and 100 mentions: the ids differ, the texts repeat
     entities = [replace(e, entity_id=f"{e.entity_id}.{i}")
-                for i in range(7) for e in toy_world.entities]
-    serial = R.build_index(entities, params, cfg, toy_vocab, "cls")
-    parallel = R.build_index(entities, params, cfg, toy_vocab, "cls", workers=4)
-    np.testing.assert_array_equal(serial.matrix, parallel.matrix)
-    np.testing.assert_array_equal(serial.matrix, np.tile(serial.matrix[:20], (7, 1)))
+                for i in range(4) for e in toy_world.entities]
+    mention_seqs = [build_mention_sequence(m, toy_world.documents[m.context_document_id],
+                                           toy_vocab, cfg.max_len, True)
+                    for m in toy_world.mentions * 2]
+    entity_seqs = [build_entity_sequence(e, toy_vocab, cfg.max_len, True) for e in entities]
+    for kind in pooling.ALL_KINDS:
+        for seqs in (mention_seqs, entity_seqs):
+            assert len(seqs) > 2 * R.EMBED_CHUNK
+            alone = np.concatenate(
+                [forward_pooled(params, cfg, [s], kind, slots)[0] for s in seqs])
+            chunked = R.encode_chunked(
+                seqs, lambda c: forward_pooled(params, cfg, c, kind, slots)[0])
+            np.testing.assert_array_equal(chunked, alone)
+        index = R.build_index(entities, params, cfg, toy_vocab, kind, use_entity_type=True)
+        np.testing.assert_array_equal(index.matrix, alone)
 
 
 def test_index_save_load_round_trip(tmp_path):

@@ -6,7 +6,8 @@ Runs the candgen package found on PYTHONPATH through its command line on a
 toy world, with every path relative to OUT (so manifests do not depend on
 where OUT lives):
 
-- the world files and a ``train-bpe`` vocabulary with V=300;
+- the world files, 70 entities (three encoder chunks, so ``embed`` crosses
+  chunk boundaries) and 30 mentions, and a ``train-bpe`` vocabulary with V=300;
 - for each pooling with entity types off and on: ``train --seed 9``, ``embed``,
   ``retrieve`` under each metric at K=5, and ``eval --ks 1,5`` of each result;
 - a 2-seed ``experiment`` (``grid/``).
@@ -37,7 +38,7 @@ def _run(argv: list[str]) -> None:
 def write_grid(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     os.chdir(out)
-    world = synthetic.make_toy_world(20, 30, seed=0)
+    world = synthetic.make_toy_world(70, 30, seed=0)
     synthetic.write_world_files(
         world, "entities.jsonl", "mentions.jsonl", "documents.jsonl", "types.tsv"
     )
