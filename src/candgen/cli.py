@@ -24,6 +24,7 @@ from .corpus import (
     load_entities,
     load_entity_type_annotations,
     load_mentions,
+    read_tab_rows,
     validate_mentions,
     validate_spans,
 )
@@ -76,13 +77,13 @@ def _typed(world: World, types_file: str | None) -> World:
 
 
 def _load_world(args, types_file: str | None) -> World:
-    entities = load_entities(args.entities, args.world)
+    entities = load_entities(args.entities, world="_")
     mentions = load_mentions(args.mentions)
     documents = documents_from_entities(
-        load_entities(args.documents or args.entities, args.world)
+        load_entities(args.documents or args.entities, world="_")
     )
     validate_mentions(mentions, documents, {e.entity_id for e in entities})
-    return _typed(World(args.world, entities, documents, mentions), types_file)
+    return _typed(World(entities, documents, mentions), types_file)
 
 
 def _load_model(args):
@@ -183,8 +184,8 @@ def cmd_train(args):
 def cmd_embed(args):
     types_file = _types_file(args)
     vocab, enc_cfg, params_e = _load_model(args)
-    entities = load_entities(args.entities, args.world)
-    entities = _typed(World(args.world, entities, {}), types_file).entities
+    entities = load_entities(args.entities, world="_")
+    entities = _typed(World(entities, {}), types_file).entities
     index = retrieval.build_index(
         entities, params_e, enc_cfg, vocab, args.pooling,
         use_entity_type=types_file is not None,
@@ -202,11 +203,12 @@ def cmd_retrieve(args):
     types_file = _types_file(args)
     index = retrieval.load_index(args.index)
     _check_k(args.k, len(index.entity_ids))
-    if index.pooling_kind != args.pooling:
+    if args.pooling not in (None, index.pooling_kind):
         raise SystemExit(
             f"index {args.index} was built with pooling {index.pooling_kind!r}, "
             f"but retrieve was given --pooling {args.pooling}"
         )
+    args.pooling = index.pooling_kind
     if index.use_entity_type != (types_file is not None):
         raise SystemExit(
             f"index {args.index} was built with entity types "
@@ -216,16 +218,13 @@ def cmd_retrieve(args):
     mentions = load_mentions(args.mentions)
     documents = documents_from_entities(load_entities(args.documents, world="_"))
     validate_spans(mentions, documents)
-    mentions = _typed(World("", [], documents, mentions), types_file).mentions
+    mentions = _typed(World([], documents, mentions), types_file).mentions
     vocab, enc_cfg, params_m = _load_model(args)
     ys = _mention_vectors(
         mentions, documents, vocab, params_m, enc_cfg, args.pooling, types_file is not None
     )
     results = _retrieve(index, mentions, ys, args.k, args.metric)
-    with open(args.out, "w", encoding="utf-8") as f:
-        for r in results:
-            for rank, (eid, score) in enumerate(r.candidates, 1):
-                f.write(f"{r.mention_id}\t{rank}\t{eid}\t{score:.12g}\n")
+    _write_results_tsv(results, args.out)
     _write_manifest(
         args.out + ".manifest", "retrieve",
         {**_effective_options(args), "results_sha256": _sha256(args.out)},
@@ -235,22 +234,23 @@ def cmd_retrieve(args):
     return 0
 
 
+def _write_results_tsv(results: list[retrieval.RetrievalResult], path) -> None:
+    """``mention_id<TAB>rank<TAB>entity_id<TAB>score`` lines, the score to 12
+    significant digits; ``_read_results_tsv`` reads them back."""
+    with open(path, "w", encoding="utf-8") as f:
+        for r in results:
+            for rank, (eid, score) in enumerate(r.candidates, 1):
+                f.write(f"{r.mention_id}\t{rank}\t{eid}\t{score:.12g}\n")
+
+
 def _read_results_tsv(path) -> list[retrieval.RetrievalResult]:
     """One result per mention; each mention's ranks must be exactly 1..n."""
     by_mention: dict[str, list[tuple[int, str, float]]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise SystemExit(f"{path}:{lineno}: expected 4 TAB-separated fields")
-            mid, rank, eid, score = parts
-            try:
-                by_mention.setdefault(mid, []).append((int(rank), eid, float(score)))
-            except ValueError as e:
-                raise SystemExit(f"{path}:{lineno}: {e}") from None
+    for where, (mid, rank, eid, score) in read_tab_rows(path, 4, "4 TAB-separated fields"):
+        try:
+            by_mention.setdefault(mid, []).append((int(rank), eid, float(score)))
+        except ValueError as e:
+            raise SystemExit(f"{where}: {e}") from None
     results = []
     for mid, rows in by_mention.items():
         rows.sort()
@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mentions", required=True)
     p.add_argument("--documents", help="context documents file (default: --entities)")
     p.add_argument("--vocab", required=True, help="vocabulary file prefix")
-    p.add_argument("--world", default="world")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
     p.add_argument("--entity-types", default="off", help="annotation file or 'off'")
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True, help="entity encoder checkpoint")
-    p.add_argument("--world", default="world")
     p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
     p.add_argument("--entity-types", default="off")
     p.add_argument("--out", required=True, help="index file prefix")
@@ -431,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--metric", choices=retrieval.ALL_METRICS, default=retrieval.DOT)
     p.add_argument("--k", type=int, default=50)
-    p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
+    p.add_argument("--pooling", choices=pooling.ALL_KINDS,
+                   help="checked against the index (default: the index's pooling)")
     p.add_argument("--entity-types", default="off")
     p.add_argument("--out", required=True, help="results TSV path")
     p.set_defaults(func=cmd_retrieve)
@@ -450,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--documents")
     p.add_argument("--vocab", required=True)
     p.add_argument("--entity-types", required=True, help="annotation file")
-    p.add_argument("--world", default="world")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
@@ -464,7 +462,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:

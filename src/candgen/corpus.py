@@ -47,7 +47,6 @@ class MentionRecord:
 
 @dataclass
 class World:
-    name: str
     entities: list[EntityRecord]
     documents: dict[str, list[str]]
     mentions: list[MentionRecord] = field(default_factory=list)
@@ -56,77 +55,98 @@ class World:
         return {e.entity_id: e for e in self.entities}
 
 
-def _read_jsonl(path):
+# JSON key -> (record attribute, JSON type); the first entry is the record id.
+_ENTITY_FIELDS = {"document_id": ("entity_id", str), "title": ("title", str),
+                  "text": ("description", str)}
+_MENTION_FIELDS = {
+    "mention_id": ("mention_id", str), "context_document_id": ("context_document_id", str),
+    "start_index": ("start_index", int), "end_index": ("end_index", int),
+    "label_document_id": ("gold_entity_id", str), "corpus": ("world", str),
+}
+_JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean",
+               type(None): "null", list: "array", dict: "object"}
+
+
+def _read_records(path, fields: dict[str, tuple[str, type]]):
+    """Yield ``(file:line, values)`` for each non-blank line of a JSONL file;
+    ``values`` maps each attribute of ``fields`` to its value, which must have
+    the declared JSON type (no bool, float or null for an integer) and, as a
+    string, encode as UTF-8. Other keys are ignored. The id may not repeat nor
+    hold a TAB, CR or LF, which would break the results and types files."""
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusParseError(f"{path}:{lineno}: malformed line ({e.msg})") from e
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as e:
+                raise CorpusParseError(f"{where}: malformed line ({getattr(e, 'msg', e)})") from e
+            if type(obj) is not dict:
+                raise CorpusParseError(
+                    f"{where}: expected a JSON object, not {_JSON_TYPES[type(obj)]}"
+                )
+            values = {}
+            for key, (attr, kind) in fields.items():
+                if key not in obj:
+                    raise CorpusParseError(f"{where}: missing key {key!r}")
+                value = values[attr] = obj[key]
+                if type(value) is not kind:
+                    raise CorpusParseError(
+                        f"{where}: {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                        f"not {_JSON_TYPES[type(value)]}"
+                    )
+                if kind is str:
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError as e:
+                        raise CorpusValidationError(
+                            f"{where}: {key!r} cannot be encoded as UTF-8 ({e.reason})"
+                        ) from e
+            name, ident = next(iter(values.items()))
+            if any(c in ident for c in "\t\r\n"):
+                raise CorpusValidationError(f"{where}: {name} {ident!r} holds a TAB, CR or LF")
+            if ident in seen:
+                raise CorpusValidationError(f"{where}: duplicate {name} {ident!r}")
+            seen.add(ident)
+            yield where, values
 
 
-def _check_id(path, lineno: int, name: str, ident: str) -> None:
-    """Ids are written into TAB-separated, line-based files (results, types)."""
-    if any(c in ident for c in "\t\r\n"):
-        raise CorpusValidationError(f"{path}:{lineno}: {name} {ident!r} holds a TAB, CR or LF")
+def read_tab_rows(path, width: int, layout: str):
+    """Yield ``(where, fields)`` for each non-empty line of a TAB-separated
+    file, ``where`` being ``file:line``; a line that does not split into
+    ``width`` fields is refused as not the expected ``layout``."""
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            where, fields = f"{path}:{lineno}", line.split("\t")
+            if len(fields) != width:
+                raise CorpusParseError(f"{where}: expected {layout}")
+            yield where, fields
 
 
 def load_entities(path, world: str) -> list[EntityRecord]:
     """Load an entity dictionary file for one world."""
     records: list[EntityRecord] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        try:
-            rec = EntityRecord(
-                entity_id=str(obj["document_id"]),
-                title=str(obj["title"]),
-                description=str(obj["text"]),
-                world=world,
-            )
-        except KeyError as e:
-            raise CorpusParseError(f"{path}:{lineno}: missing key {e.args[0]!r}") from e
-        _check_id(path, lineno, "entity_id", rec.entity_id)
-        if not rec.title:
-            raise CorpusValidationError(f"{path}:{lineno}: empty title")
-        if rec.entity_id in seen:
-            raise CorpusValidationError(
-                f"{path}:{lineno}: duplicate entity_id {rec.entity_id!r}"
-            )
-        seen.add(rec.entity_id)
-        records.append(rec)
+    for where, values in _read_records(path, _ENTITY_FIELDS):
+        if not values["title"]:
+            raise CorpusValidationError(f"{where}: empty title")
+        records.append(EntityRecord(**values, world=world))
     return records
 
 
 def load_mentions(path) -> list[MentionRecord]:
-    """Load a mention file; span sanity is checked here, document bounds later."""
+    """Load a mention file; span order is checked here, document bounds later."""
     records: list[MentionRecord] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_jsonl(path):
-        try:
-            rec = MentionRecord(
-                mention_id=str(obj["mention_id"]),
-                context_document_id=str(obj["context_document_id"]),
-                start_index=int(obj["start_index"]),
-                end_index=int(obj["end_index"]),
-                gold_entity_id=str(obj["label_document_id"]),
-                world=str(obj["corpus"]),
-            )
-        except KeyError as e:
-            raise CorpusParseError(f"{path}:{lineno}: missing key {e.args[0]!r}") from e
-        _check_id(path, lineno, "mention_id", rec.mention_id)
+    for where, values in _read_records(path, _MENTION_FIELDS):
+        rec = MentionRecord(**values)
         if rec.start_index < 0 or rec.start_index > rec.end_index:
-            raise CorpusValidationError(
-                f"mention {rec.mention_id}: invalid span "
-                f"[{rec.start_index}, {rec.end_index}]"
-            )
-        if rec.mention_id in seen:
-            raise CorpusValidationError(
-                f"{path}:{lineno}: duplicate mention_id {rec.mention_id!r}"
-            )
-        seen.add(rec.mention_id)
+            raise CorpusValidationError(f"{where}: mention {rec.mention_id}: invalid span "
+                                        f"[{rec.start_index}, {rec.end_index}]")
         records.append(rec)
     return records
 
@@ -135,20 +155,12 @@ def load_entity_type_annotations(path) -> dict[str, str]:
     """Load ``id<TAB>type`` annotations; absent ids default to <unk> downstream."""
     allowed = {*DEFAULT_ENTITY_TYPE_LABELS, UNKNOWN_TYPE}
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusParseError(f"{path}:{lineno}: expected id<TAB>type")
-            ident, label = parts
-            if label not in allowed:
-                raise CorpusValidationError(
-                    f"{path}:{lineno}: unknown type label {label!r}"
-                )
-            mapping[ident] = label
+    for where, (ident, label) in read_tab_rows(path, 2, "id<TAB>type"):
+        if label not in allowed:
+            raise CorpusValidationError(f"{where}: unknown type label {label!r}")
+        if ident in mapping:
+            raise CorpusValidationError(f"{where}: duplicate id {ident!r}")
+        mapping[ident] = label
     return mapping
 
 
@@ -201,40 +213,22 @@ def apply_type_annotations(
         replace(m, entity_type=annotations.get(m.mention_id, UNKNOWN_TYPE))
         for m in world.mentions
     ]
-    return World(
-        name=world.name, entities=entities, documents=world.documents, mentions=mentions
-    )
+    return World(entities=entities, documents=world.documents, mentions=mentions)
 
 
 # -- serialization (round-trip with the load functions) ----------------------
 
 
-def entities_to_jsonl(entities: Iterable[EntityRecord], path) -> None:
+def _write_records(records, fields: dict[str, tuple[str, type]], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for e in entities:
-            f.write(
-                json.dumps(
-                    {"document_id": e.entity_id, "title": e.title, "text": e.description},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        for r in records:
+            row = {key: getattr(r, attr) for key, (attr, _) in fields.items()}
+            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def entities_to_jsonl(entities: Iterable[EntityRecord], path) -> None:
+    _write_records(entities, _ENTITY_FIELDS, path)
 
 
 def mentions_to_jsonl(mentions: Iterable[MentionRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for m in mentions:
-            f.write(
-                json.dumps(
-                    {
-                        "mention_id": m.mention_id,
-                        "context_document_id": m.context_document_id,
-                        "start_index": m.start_index,
-                        "end_index": m.end_index,
-                        "label_document_id": m.gold_entity_id,
-                        "corpus": m.world,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    _write_records(mentions, _MENTION_FIELDS, path)

@@ -71,7 +71,7 @@ def make_toy_world(
                 world=name,
             )
         )
-    world = World(name=name, entities=entities, documents=documents, mentions=mentions)
+    world = World(entities=entities, documents=documents, mentions=mentions)
     validate_mentions(mentions, documents, {e.entity_id for e in entities})
     return world
 
@@ -95,7 +95,7 @@ def write_world_files(
     if documents_path is not None:
         docs = world.documents
         entities_to_jsonl(
-            (EntityRecord(d, d, " ".join(docs[d]), world.name) for d in sorted(docs)),
+            (EntityRecord(d, d, " ".join(docs[d]), "_") for d in sorted(docs)),
             documents_path,
         )
     if types_path is not None:

@@ -213,7 +213,7 @@ def test_criterion_7_ablation_harness(capsys, tmp_path, toy_world, toy_vocab):
         code = cli_main([
             "experiment", "--entities", entities, "--mentions", mentions,
             "--documents", documents, "--vocab", vocab_prefix,
-            "--entity-types", types, "--world", toy_world.name,
+            "--entity-types", types,
             "--k", "5", "--seeds", "5",
             "--dim", "32", "--layers", "1", "--heads", "2", "--ff-dim", "128",
             "--max-len", "16", "--epochs", "20", "--lr", "2e-3",
@@ -306,14 +306,14 @@ def test_criterion_9_determinism(capsys, tmp_path, toy_world):
             model = str(base / "model")
             assert cli_main(["train", "--entities", entities, "--mentions", mentions,
                              "--documents", documents, "--vocab", vocab,
-                             "--world", toy_world.name, "--pooling", "avg",
+                             "--pooling", "avg",
                              "--seed", "9", "--dim", "16", "--layers", "1",
                              "--heads", "2", "--ff-dim", "32", "--max-len", "16",
                              "--epochs", "3", "--lr", "1e-3", "--out", model]) == 0
             index = str(base / "index")
             assert cli_main(["embed", "--entities", entities, "--vocab", vocab,
                              "--checkpoint", os.path.join(model, "entity.ckpt"),
-                             "--pooling", "avg", "--world", toy_world.name,
+                             "--pooling", "avg",
                              "--out", index]) == 0
             results = str(base / "results.tsv")
             assert cli_main(["retrieve", "--index", index,

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from candgen import synthetic
-from candgen.cli import main
+from candgen import retrieval, synthetic
+from candgen.cli import _read_results_tsv, _write_results_tsv, main
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +49,11 @@ def pipeline(toy_files, tmp_path_factory):
     model = str(out / "model")
     run(["train", "--entities", toy_files["entities"], "--mentions", toy_files["mentions"],
          "--documents", toy_files["documents"], "--vocab", vocab, "--out", model,
-         "--pooling", "avg", "--world", "toyworld", *TINY])
+         "--pooling", "avg", *TINY])
     index = str(out / "index")
     run(["embed", "--entities", toy_files["entities"], "--vocab", vocab,
          "--checkpoint", os.path.join(model, "entity.ckpt"), "--pooling", "avg",
-         "--world", "toyworld", "--out", index])
+         "--out", index])
     results = str(out / "results.tsv")
     run(["retrieve", "--index", index, "--checkpoint", os.path.join(model, "mention.ckpt"),
          "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
@@ -147,6 +149,51 @@ def test_retrieve_rejects_index_of_other_pooling(pipeline, toy_files, capsys):
     err = capsys.readouterr().err
     assert "'avg'" in err and "--pooling cls" in err
     assert not os.path.exists(out)
+
+
+def test_retrieve_takes_the_pooling_from_the_index(pipeline, toy_files, tmp_path):
+    """``pipeline``'s index is avg; without --pooling, retrieve uses it and
+    records it, as if --pooling avg had been given."""
+    explicit, implied = tmp_path / "explicit.tsv", tmp_path / "implied.tsv"
+    argv = _retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", explicit)
+    run(argv)
+    i = argv.index("--pooling")
+    run(argv[:i] + argv[i + 2 : -1] + [str(implied)])
+    assert implied.read_bytes() == explicit.read_bytes()
+    manifest = Path(f"{implied}.manifest").read_text().splitlines()
+    assert "pooling=avg" in manifest
+
+
+def test_os_errors_are_reported_not_raised(pipeline, toy_files, tmp_path, capsys):
+    """A directory where a file is expected, read or written, is an error
+    message and exit 1, like a missing file."""
+    assert main(_retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot",
+                               tmp_path)) == 1
+    assert "error: " in capsys.readouterr().err
+    assert _eval(tmp_path, toy_files, tmp_path / "eval") == 1
+    assert str(tmp_path) in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "eval.report")
+
+
+_ODD_IDS = (st.sampled_from(["", "é\u4e2d", "\x85", "\u2028", "\x0b", "a b"])
+            | st.text(st.characters(exclude_characters="\t\r\n"), max_size=4))
+_ODD_SCORES = st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(
+    st.tuples(_ODD_IDS, st.lists(st.tuples(_ODD_IDS, _ODD_SCORES), min_size=1, max_size=4)),
+    max_size=4, unique_by=lambda row: row[0],
+))
+def test_results_tsv_round_trip(tmp_path_factory, rows):
+    """What retrieve writes, eval reads back: the same ids in the same rank
+    order, and each score as its 12-significant-digit text parses."""
+    path = tmp_path_factory.mktemp("results") / "results.tsv"
+    _write_results_tsv([retrieval.RetrievalResult(mid, cands) for mid, cands in rows], path)
+    assert [(r.mention_id, [(eid, s.hex()) for eid, s in r.candidates])
+            for r in _read_results_tsv(path)] == [
+        (mid, [(eid, float(f"{s:.12g}").hex()) for eid, s in cands]) for mid, cands in rows
+    ]
 
 
 def test_retrieve_rejects_truncated_checkpoint(pipeline, toy_files, capsys):
@@ -370,7 +417,7 @@ def test_same_seed_reruns_are_byte_identical(toy_files, tmp_path):
         run(["train", "--entities", toy_files["entities"],
              "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
              "--vocab", vocab, "--out", model, "--seed", "3",
-             "--world", "toyworld", *TINY])
+             *TINY])
         outs.append(out)
     for rel in ("v.vocab", "v.merges", "model/mention.ckpt", "model/entity.ckpt",
                 "model/train.log"):
@@ -382,7 +429,7 @@ def test_experiment_grid_row_count(toy_files, tmp_path):
     run(["experiment", "--entities", toy_files["entities"],
          "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
          "--vocab", _quick_vocab(toy_files, tmp_path), "--entity-types", toy_files["types"],
-         "--world", "toyworld", "--k", "3", "--seeds", "1", "--out", out,
+         "--k", "3", "--seeds", "1", "--out", out,
          "--dim", "8", "--layers", "0", "--heads", "2", "--ff-dim", "16",
          "--max-len", "16", "--epochs", "1", "--lr", "1e-3"])
     with open(os.path.join(out, "table.tsv")) as f:
@@ -406,7 +453,7 @@ def _experiment(toy_files, tmp_path, *flags):
     return main(["experiment", "--entities", toy_files["entities"],
                  "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
                  "--vocab", _quick_vocab(toy_files, tmp_path),
-                 "--world", "toyworld", "--out", str(tmp_path / "exp"),
+                 "--out", str(tmp_path / "exp"),
                  *EXPERIMENT_TINY, *flags])
 
 
@@ -419,7 +466,7 @@ def test_experiment_cell_trains_like_train(toy_files, tmp_path, monkeypatch):
     model = str(tmp_path / "model")
     run(["train", "--entities", toy_files["entities"], "--mentions", toy_files["mentions"],
          "--documents", toy_files["documents"], "--vocab", _quick_vocab(toy_files, tmp_path),
-         "--world", "toyworld", "--pooling", "cls", "--out", model, *EXPERIMENT_TINY, *flags])
+         "--pooling", "cls", "--out", model, *EXPERIMENT_TINY, *flags])
     trained = {}
     real_train = training.train
 

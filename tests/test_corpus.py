@@ -1,6 +1,10 @@
 import json
+import re
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candgen import corpus as C
 from candgen.corpus import (
@@ -104,6 +108,54 @@ def test_ids_that_would_break_a_tsv_line_rejected(tmp_path, bad):
         C.load_mentions(mentions)
 
 
+@pytest.mark.parametrize("loader, row", [
+    ("entities", {"document_id": None, "title": "A", "text": "B"}),
+    ("entities", {"document_id": "e1", "title": True, "text": "B"}),
+    ("entities", {"document_id": "e1", "title": "A", "text": 1.5}),
+    ("mentions", _mention_row(start_index=2.9, end_index=3)),
+    ("mentions", _mention_row(start_index=True)),
+    ("mentions", _mention_row(end_index=None)),
+    ("mentions", _mention_row(corpus=["w"])),
+], ids=["null_id", "bool_title", "float_text", "float_start", "bool_start", "null_end",
+        "array_corpus"])
+def test_values_of_another_json_type_rejected(tmp_path, loader, row):
+    """Values are not coerced: a null id would load as 'None', a float
+    offset would be truncated, and a bool would count as 0 or 1."""
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, [row])
+    load = C.load_mentions if loader == "mentions" else lambda p: C.load_entities(p, "w")
+    with pytest.raises(CorpusParseError, match=r"records\.jsonl:1: '\w+' must be a JSON"):
+        load(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"e1"', "3", "null"])
+def test_a_line_that_is_not_an_object_rejected(tmp_path, line):
+    path = tmp_path / "e.jsonl"
+    path.write_text('{"document_id": "e1", "title": "A", "text": "B"}\n' + line + "\n")
+    with pytest.raises(CorpusParseError, match=r"e\.jsonl:2: expected a JSON object"):
+        C.load_entities(path, "w")
+
+
+def test_nesting_too_deep_to_parse_rejected(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"mention_id": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+    with pytest.raises(CorpusParseError, match=r"m\.jsonl:1: malformed line"):
+        C.load_mentions(path)
+
+
+def test_strings_that_utf8_cannot_encode_rejected(tmp_path):
+    """A lone surrogate is valid JSON but no UTF-8 file can hold it, so the
+    results or index that would carry it could never be written."""
+    entities, mentions = tmp_path / "e.jsonl", tmp_path / "m.jsonl"
+    write_jsonl(entities, [{"document_id": "e\ud800", "title": "A", "text": "B"}])
+    with pytest.raises(CorpusValidationError,
+                       match=r"e\.jsonl:1: 'document_id' cannot be encoded as UTF-8"):
+        C.load_entities(entities, "w")
+    write_jsonl(mentions, [_mention_row(), _mention_row(mention_id="m2", corpus="\udc00")])
+    with pytest.raises(CorpusValidationError, match=r"m\.jsonl:2: 'corpus' cannot be encoded"):
+        C.load_mentions(mentions)
+
+
 def test_inverted_span_rejected(tmp_path):
     path = tmp_path / "m.jsonl"
     write_jsonl(path, [_mention_row(start_index=3, end_index=1)])
@@ -128,6 +180,13 @@ def test_type_annotations(tmp_path):
     path.write_text("m1\tPERSON\ne1\tLOC\n")
     mapping = C.load_entity_type_annotations(path)
     assert mapping == {"m1": "PERSON", "e1": "LOC"}
+
+
+def test_repeated_type_annotation_id_rejected(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("e1\tPERSON\nm1\tLOC\ne1\tORG\n")
+    with pytest.raises(CorpusValidationError, match=r"t\.tsv:3: duplicate id 'e1'"):
+        C.load_entity_type_annotations(path)
 
 
 def test_type_annotations_empty_file(tmp_path):
@@ -164,3 +223,50 @@ def test_round_trip_serialization(tmp_path, toy_world):
     C.mentions_to_jsonl(toy_world.mentions, mpath)
     assert C.load_entities(epath, "toyworld") == toy_world.entities
     assert C.load_mentions(mpath) == toy_world.mentions
+
+
+_KEYS = {"document_id": str, "title": str, "text": str, "mention_id": str,
+         "context_document_id": str, "start_index": int, "end_index": int,
+         "label_document_id": str, "corpus": str}
+_STRINGS = st.text(max_size=3) | st.sampled_from(["e\ud800", "\udfff", "a\tb", "e1"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_VALID = st.fixed_dictionaries({
+    key: st.text(max_size=3) if kind is str else st.integers(-1, 4)
+    for key, kind in _KEYS.items()
+})
+
+
+def _change_one(record, key, how, value):
+    """``record`` with ``key`` kept, replaced by ``value`` or dropped."""
+    if how == "drop":
+        return {k: v for k, v in record.items() if k != key}
+    return {**record, key: value} if how == "replace" else record
+
+
+_RECORD = st.builds(_change_one, _VALID, st.sampled_from(sorted(_KEYS)),
+                    st.sampled_from(["keep", "replace", "drop"]), _JSON)
+_LINE = (_RECORD.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=6)
+         | st.just("[" * 5000 + "]" * 5000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINE, max_size=4))
+def test_loaders_return_typed_records_or_name_the_line(tmp_path_factory, lines):
+    """Whatever a line holds, each loader returns records whose fields have
+    their declared types, or refuses the file naming ``file:line``."""
+    path = tmp_path_factory.mktemp("records") / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for load in (C.load_mentions, lambda p: C.load_entities(p, "w")):
+        try:
+            records = load(path)
+        except (CorpusParseError, CorpusValidationError) as e:
+            assert re.match(re.escape(str(path)) + r":\d+: ", str(e)), str(e)
+            continue
+        for r in records:
+            assert all(type(value) is (int if name.endswith("_index") else str)
+                       for name, value in asdict(r).items())
