@@ -28,10 +28,11 @@ print(f"{len(world.entities)} entities, {len(world.mentions)} mentions, "
 # Each batch scores every mention against every gold entity in the batch;
 # the off-diagonal entries act as negatives for free.
 
+# The pooling is part of the encoder config: it is fixed when the model is
+# trained, and every later stage reads it from there.
 enc_cfg = EncoderConfig(dim=64, layers=2, heads=2, ff_dim=256, max_len=32,
-                        vocab_size=len(vocab))
-train_cfg = training.TrainConfig(epochs=30, learning_rate=2e-3,
-                                 pooling_kind="conc_special")
+                        vocab_size=len(vocab), pooling_kind="conc_special")
+train_cfg = training.TrainConfig(epochs=30, learning_rate=2e-3)
 result = training.train(world, vocab, enc_cfg, train_cfg)
 print("first/last epoch:", result.log_lines[0], "|", result.log_lines[-1])
 
@@ -42,8 +43,7 @@ print("first/last epoch:", result.log_lines[0], "|", result.log_lines[-1])
 # time and reused for every mention (and for every metric).
 
 slots = shared_slot_count(False)
-index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab,
-                              "conc_special")
+index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab)
 
 mention_seqs = [
     build_mention_sequence(m, world.documents[m.context_document_id], vocab,
@@ -51,7 +51,7 @@ mention_seqs = [
     for m in world.mentions
 ]
 ys, _ = training.forward_pooled(result.params_m, enc_cfg, mention_seqs,
-                                "conc_special", slots)
+                                enc_cfg.pooling_kind, slots)
 results = [retrieval.top_k(index, ys[i], 5, retrieval.DOT, m.mention_id)
            for i, m in enumerate(world.mentions)]
 

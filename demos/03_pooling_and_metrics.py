@@ -7,6 +7,8 @@ version of the full `candgen experiment` grid; takes ~30 seconds.
 Run with:  python3 demos/03_pooling_and_metrics.py
 """
 
+from dataclasses import replace
+
 from candgen import evaluation, pooling, retrieval, synthetic, training
 from candgen.encoder import EncoderConfig
 from candgen.templates import build_mention_sequence, shared_slot_count
@@ -26,13 +28,12 @@ mention_seqs = [
 ]
 
 print(f"{'pooling':<14}{'dot':>8}{'cosine':>8}{'euclid':>8}   (accuracy@1)")
+train_cfg = training.TrainConfig(epochs=20, learning_rate=2e-3)
 for kind in pooling.ALL_KINDS:
-    train_cfg = training.TrainConfig(epochs=20, learning_rate=2e-3,
-                                     pooling_kind=kind)
-    result = training.train(world, vocab, enc_cfg, train_cfg)
-    index = retrieval.build_index(world.entities, result.params_e, enc_cfg,
-                                  vocab, kind)
-    ys, _ = training.forward_pooled(result.params_m, enc_cfg, mention_seqs,
+    cfg = replace(enc_cfg, pooling_kind=kind)  # one model per pooling
+    result = training.train(world, vocab, cfg, train_cfg)
+    index = retrieval.build_index(world.entities, result.params_e, cfg, vocab)
+    ys, _ = training.forward_pooled(result.params_m, cfg, mention_seqs,
                                     kind, slots)
     row = [kind]
     for metric in retrieval.ALL_METRICS:

@@ -1,9 +1,10 @@
-"""One checked container for the binary artifacts: checkpoints and the index.
+"""One checked container for the binary artifacts, checkpoints and the
+index, and one checked line reader for the text files.
 
-A file is a magic line, the byte length of a JSON header as a little-endian
-u64, the header (UTF-8 JSON, keys sorted), then a body of little-endian
-float64 values. Every failure to read one raises the caller's error class
-naming the file.
+A binary file is a magic line, the byte length of a JSON header as a
+little-endian u64, the header (UTF-8 JSON, keys sorted), then a body of
+little-endian float64 values. Every failure to read one raises the caller's
+error class naming the file.
 """
 
 from __future__ import annotations
@@ -13,6 +14,24 @@ import os
 import struct
 
 import numpy as np
+
+
+def text_lines(path, error: type):
+    """Yield ``(file:line, text)`` for each non-empty line of a UTF-8 text file,
+    without its line break. A line holding bytes that are not UTF-8 raises
+    ``error`` naming ``file:line`` and the first such byte."""
+    # surrogateescape turns each undecodable byte into a lone surrogate, which
+    # a decoded line holds for no other reason and which UTF-8 cannot encode
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                byte = ord(line[e.start]) - 0xDC00
+                raise error(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
+            if line:
+                yield f"{path}:{lineno}", line
 
 
 def write(path, magic: bytes, header: dict, body: np.ndarray) -> None:

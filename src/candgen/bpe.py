@@ -16,6 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .artifact import text_lines
+
 END_OF_WORD = "</w>"
 
 # OntoNotes 5 label scheme used by the large English spaCy NER models.
@@ -195,18 +197,13 @@ class Vocabulary:
         """Read a vocabulary written by ``save``. Raise TokenizerError naming
         the files unless it begins with ``SPECIAL_TOKENS``, has no repeated
         token or merge, and every merge uses tokens of the vocabulary."""
-        with open(vocab_path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+        tokens = [line for _, line in text_lines(vocab_path, TokenizerError)]
         merges: list[tuple[str, str]] = []
-        with open(merges_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if len(parts) != 2:
-                    raise TokenizerError(f"{merges_path}:{lineno}: malformed merge rule")
-                merges.append((parts[0], parts[1]))
+        for where, line in text_lines(merges_path, TokenizerError):
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise TokenizerError(f"{where}: malformed merge rule")
+            merges.append((parts[0], parts[1]))
         try:
             return cls(id_to_token=tokens, merges=merges)
         except TokenizerError as e:

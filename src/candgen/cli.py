@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 
@@ -17,7 +16,9 @@ import numpy as np
 
 from . import evaluation, pooling, retrieval, training
 from .bpe import Vocabulary, train_bpe
+from .artifact import text_lines
 from .corpus import (
+    CorpusParseError,
     World,
     apply_type_annotations,
     documents_from_entities,
@@ -99,6 +100,23 @@ def _load_model(args):
     return vocab, enc_cfg, params
 
 
+def _agree(args, *artifacts) -> None:
+    """Refuse unless the pooling and the entity-type mode that each (name,
+    index or encoder config) in ``artifacts`` records agree with --pooling if
+    given, else with the first artifact's, and with --entity-types being on
+    or off. --pooling then holds the recorded pooling, for the manifest."""
+    claim = f"{args.subcommand} was given --pooling {args.pooling}"
+    for name, rec in artifacts:
+        kind, typed = rec.pooling_kind, rec.use_entity_type
+        if args.pooling is None:
+            args.pooling, claim = kind, f"{name} was built with pooling {kind!r}"
+        elif kind != args.pooling:
+            raise SystemExit(f"{name} was built with pooling {kind!r}, but {claim}")
+        if typed != (_types_file(args) is not None):
+            raise SystemExit(f"{name} was built with entity types {'on' if typed else 'off'}, "
+                             f"but {args.subcommand} was given --entity-types {args.entity_types}")
+
+
 def _check_k(k: int, entity_count: int) -> None:
     if not 1 <= k <= entity_count:
         raise SystemExit(f"--k {k} must lie in [1, {entity_count}], the number of entities")
@@ -108,25 +126,25 @@ def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
     """Both encoders trained on ``world``; returns (encoder config, TrainResult)."""
     enc_cfg = EncoderConfig(
         dim=args.dim, layers=args.layers, heads=args.heads, ff_dim=args.ff_dim,
-        max_len=args.max_len, vocab_size=len(vocab),
+        max_len=args.max_len, vocab_size=len(vocab), pooling_kind=kind,
+        use_entity_type=use_types,
     )
     train_cfg = TrainConfig(
         batch_size=args.batch_size, epochs=args.epochs, learning_rate=args.lr,
-        weight_decay=args.weight_decay, seed=seed, pooling_kind=kind,
-        use_entity_type=use_types,
+        weight_decay=args.weight_decay, seed=seed,
     )
     return enc_cfg, training.train(world, vocab, enc_cfg, train_cfg)
 
 
-def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg, kind, use_types):
-    """Pooled mention vectors, one row per mention (``retrieval.encode_chunked``)."""
+def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg):
+    """Pooled mention vectors under ``enc_cfg``'s pooling and entity-type mode,
+    one row per mention (``retrieval.encode_chunked``)."""
+    typed, kind = enc_cfg.use_entity_type, enc_cfg.pooling_kind
     seqs = [
-        build_mention_sequence(
-            m, documents[m.context_document_id], vocab, enc_cfg.max_len, use_types
-        )
+        build_mention_sequence(m, documents[m.context_document_id], vocab, enc_cfg.max_len, typed)
         for m in mentions
     ]
-    slots = shared_slot_count(use_types)
+    slots = shared_slot_count(typed)
     return retrieval.encode_chunked(
         seqs, lambda c: forward_pooled(params_m, enc_cfg, c, kind, slots)[0]
     )
@@ -150,8 +168,7 @@ def cmd_train_bpe(args):
             for e in load_entities(path, world="_"):
                 texts.append(e.title + " " + e.description)
         else:
-            with open(path, encoding="utf-8") as f:
-                texts.extend(f.read().splitlines())
+            texts.extend(line for _, line in text_lines(path, CorpusParseError))
     vocab = train_bpe(texts, args.vocab_size)
     vocab.save(args.out + ".vocab", args.out + ".merges")
     _write_manifest(
@@ -184,12 +201,10 @@ def cmd_train(args):
 def cmd_embed(args):
     types_file = _types_file(args)
     vocab, enc_cfg, params_e = _load_model(args)
+    _agree(args, (f"checkpoint {args.checkpoint}", enc_cfg))
     entities = load_entities(args.entities, world="_")
     entities = _typed(World(entities, {}), types_file).entities
-    index = retrieval.build_index(
-        entities, params_e, enc_cfg, vocab, args.pooling,
-        use_entity_type=types_file is not None,
-    )
+    index = retrieval.build_index(entities, params_e, enc_cfg, vocab)
     retrieval.save_index(index, args.out)
     _write_manifest(
         args.out + ".manifest", "embed", _effective_options(args),
@@ -203,26 +218,13 @@ def cmd_retrieve(args):
     types_file = _types_file(args)
     index = retrieval.load_index(args.index)
     _check_k(args.k, len(index.entity_ids))
-    if args.pooling not in (None, index.pooling_kind):
-        raise SystemExit(
-            f"index {args.index} was built with pooling {index.pooling_kind!r}, "
-            f"but retrieve was given --pooling {args.pooling}"
-        )
-    args.pooling = index.pooling_kind
-    if index.use_entity_type != (types_file is not None):
-        raise SystemExit(
-            f"index {args.index} was built with entity types "
-            f"{'on' if index.use_entity_type else 'off'}, but retrieve was given "
-            f"--entity-types {args.entity_types}"
-        )
+    vocab, enc_cfg, params_m = _load_model(args)
+    _agree(args, (f"index {args.index}", index), (f"checkpoint {args.checkpoint}", enc_cfg))
     mentions = load_mentions(args.mentions)
     documents = documents_from_entities(load_entities(args.documents, world="_"))
     validate_spans(mentions, documents)
     mentions = _typed(World([], documents, mentions), types_file).mentions
-    vocab, enc_cfg, params_m = _load_model(args)
-    ys = _mention_vectors(
-        mentions, documents, vocab, params_m, enc_cfg, args.pooling, types_file is not None
-    )
+    ys = _mention_vectors(mentions, documents, vocab, params_m, enc_cfg)
     results = _retrieve(index, mentions, ys, args.k, args.metric)
     _write_results_tsv(results, args.out)
     _write_manifest(
@@ -336,10 +338,9 @@ def cmd_experiment(args):
             accs: dict[str, list[dict[int, float]]] = {m: [] for m in retrieval.ALL_METRICS}
             for seed in range(args.seed, args.seed + args.seeds):
                 enc_cfg, result = _train(args, world, vocab, kind, seed, use_types)
-                index = retrieval.build_index(world.entities, result.params_e, enc_cfg,
-                                             vocab, kind, use_entity_type=use_types)
+                index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab)
                 ys = _mention_vectors(world.mentions, world.documents, vocab,
-                                      result.params_m, enc_cfg, kind, use_types)
+                                      result.params_m, enc_cfg)
                 for metric in retrieval.ALL_METRICS:
                     results = _retrieve(index, world.mentions, ys, args.k, metric)
                     report = evaluation.build_report(results, gold, world_of, [1, args.k])
@@ -416,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entities", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True, help="entity encoder checkpoint")
-    p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
+    p.add_argument("--pooling", choices=pooling.ALL_KINDS,
+                   help="checked against the checkpoint (default: the checkpoint's pooling)")
     p.add_argument("--entity-types", default="off")
     p.add_argument("--out", required=True, help="index file prefix")
     p.set_defaults(func=cmd_embed)

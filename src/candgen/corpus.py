@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
+from .artifact import text_lines
 from .bpe import DEFAULT_ENTITY_TYPE_LABELS, UNKNOWN_TYPE
 
 
@@ -74,59 +75,53 @@ def _read_records(path, fields: dict[str, tuple[str, type]]):
     string, encode as UTF-8. Other keys are ignored. The id may not repeat nor
     hold a TAB, CR or LF, which would break the results and types files."""
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as e:
-                raise CorpusParseError(f"{where}: malformed line ({getattr(e, 'msg', e)})") from e
-            if type(obj) is not dict:
+    for where, line in text_lines(path, CorpusParseError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            raise CorpusParseError(f"{where}: malformed line ({getattr(e, 'msg', e)})") from e
+        if type(obj) is not dict:
+            raise CorpusParseError(
+                f"{where}: expected a JSON object, not {_JSON_TYPES[type(obj)]}"
+            )
+        values = {}
+        for key, (attr, kind) in fields.items():
+            if key not in obj:
+                raise CorpusParseError(f"{where}: missing key {key!r}")
+            value = values[attr] = obj[key]
+            if type(value) is not kind:
                 raise CorpusParseError(
-                    f"{where}: expected a JSON object, not {_JSON_TYPES[type(obj)]}"
+                    f"{where}: {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                    f"not {_JSON_TYPES[type(value)]}"
                 )
-            values = {}
-            for key, (attr, kind) in fields.items():
-                if key not in obj:
-                    raise CorpusParseError(f"{where}: missing key {key!r}")
-                value = values[attr] = obj[key]
-                if type(value) is not kind:
-                    raise CorpusParseError(
-                        f"{where}: {key!r} must be a JSON {_JSON_TYPES[kind]}, "
-                        f"not {_JSON_TYPES[type(value)]}"
-                    )
-                if kind is str:
-                    try:
-                        value.encode("utf-8")
-                    except UnicodeEncodeError as e:
-                        raise CorpusValidationError(
-                            f"{where}: {key!r} cannot be encoded as UTF-8 ({e.reason})"
-                        ) from e
-            name, ident = next(iter(values.items()))
-            if any(c in ident for c in "\t\r\n"):
-                raise CorpusValidationError(f"{where}: {name} {ident!r} holds a TAB, CR or LF")
-            if ident in seen:
-                raise CorpusValidationError(f"{where}: duplicate {name} {ident!r}")
-            seen.add(ident)
-            yield where, values
+            if kind is str:
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise CorpusValidationError(
+                        f"{where}: {key!r} cannot be encoded as UTF-8 ({e.reason})"
+                    ) from e
+        name, ident = next(iter(values.items()))
+        if any(c in ident for c in "\t\r\n"):
+            raise CorpusValidationError(f"{where}: {name} {ident!r} holds a TAB, CR or LF")
+        if ident in seen:
+            raise CorpusValidationError(f"{where}: duplicate {name} {ident!r}")
+        seen.add(ident)
+        yield where, values
 
 
 def read_tab_rows(path, width: int, layout: str):
     """Yield ``(where, fields)`` for each non-empty line of a TAB-separated
     file, ``where`` being ``file:line``; a line that does not split into
     ``width`` fields is refused as not the expected ``layout``."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            where, fields = f"{path}:{lineno}", line.split("\t")
-            if len(fields) != width:
-                raise CorpusParseError(f"{where}: expected {layout}")
-            yield where, fields
+    for where, line in text_lines(path, CorpusParseError):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise CorpusParseError(f"{where}: expected {layout}")
+        yield where, fields
 
 
 def load_entities(path, world: str) -> list[EntityRecord]:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import artifact
+from . import artifact, pooling
 
 LN_EPS = 1e-5
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -28,14 +28,22 @@ class EncoderError(ValueError):
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Both towers' architecture, and the pooling and entity-type mode they train with."""
+
     dim: int = 64
     layers: int = 2
     heads: int = 2
     ff_dim: int = 256
     max_len: int = 32
     vocab_size: int = 0
+    pooling_kind: str = pooling.CLS
+    use_entity_type: bool = False
 
     def __post_init__(self):
+        for fld in fields(self):  # a checkpoint's config must load back as saved
+            value, kind = getattr(self, fld.name), type(fld.default)
+            if type(value) is not kind:
+                raise EncoderError(f"{fld.name} must be a {kind.__name__}, not {value!r}")
         if min(self.dim, self.heads, self.ff_dim) < 1 or self.layers < 0:
             raise EncoderError("dim, heads and ff_dim must be positive, layers not negative")
         if self.dim % self.heads != 0:
@@ -44,6 +52,8 @@ class EncoderConfig:
             raise EncoderError("max_len must be at least 4")
         if self.vocab_size <= 0:
             raise EncoderError("vocab_size must be positive")
+        if self.pooling_kind not in pooling.ALL_KINDS:
+            raise EncoderError(f"unknown pooling kind {self.pooling_kind!r}")
 
 
 def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
@@ -267,8 +277,6 @@ def _config_of(header: dict) -> EncoderConfig:
             f"config fields {sorted(stored)} are not {sorted(names)}; "
             "a checkpoint from another version must be retrained"
         )
-    if any(type(v) is not int for v in stored.values()):
-        raise EncoderError("config values must be integers")
     config = EncoderConfig(**stored)
     if header.get("tensors") != _manifest(config):
         raise EncoderError("tensor manifest does not match its config")

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import artifact, pooling
 from .encoder import EncoderConfig
-from .templates import build_entity_sequence, shared_slot_count
-from .training import forward_pooled
+from .templates import build_entity_sequence
+from .training import pooled
 
 DOT = "dot"
 COSINE = "cosine"
@@ -225,35 +225,19 @@ def encode_chunked(seqs: list, encode) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros((0, 0))
 
 
-def build_index(
-    entities,
-    params_e: np.ndarray,
-    enc_cfg: EncoderConfig,
-    vocab,
-    pooling_kind: str,
-    use_entity_type: bool = False,
-) -> EmbeddingIndex:
-    """Embed every dictionary entry once; one matrix row per entity.
-
-    Concatenation pooling pads to ``shared_slot_count(use_entity_type)``
-    slots, the budget the encoders were trained with.
-    """
+def build_index(entities, params_e: np.ndarray, enc_cfg: EncoderConfig, vocab) -> EmbeddingIndex:
+    """Embed every dictionary entry once, one matrix row per entity, under
+    the pooling and the entity-type mode of ``enc_cfg``; the index records both."""
     entities = list(entities)
     if not entities:
         raise RetrievalError("cannot build an index over an empty dictionary")
-    seqs = [
-        build_entity_sequence(e, vocab, enc_cfg.max_len, use_entity_type)
-        for e in entities
-    ]
-    slot_count = shared_slot_count(use_entity_type)
-    matrix = encode_chunked(
-        seqs, lambda c: forward_pooled(params_e, enc_cfg, c, pooling_kind, slot_count)[0]
-    )
+    seqs = [build_entity_sequence(e, vocab, enc_cfg.max_len, enc_cfg.use_entity_type)
+            for e in entities]
     return EmbeddingIndex(
         entity_ids=[e.entity_id for e in entities],
-        matrix=matrix,
-        pooling_kind=pooling_kind,
-        use_entity_type=use_entity_type,
+        matrix=encode_chunked(seqs, lambda c: pooled(params_e, enc_cfg, c)[0]),
+        pooling_kind=enc_cfg.pooling_kind,
+        use_entity_type=enc_cfg.use_entity_type,
     )
 
 

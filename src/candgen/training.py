@@ -39,8 +39,6 @@ class TrainConfig:
     learning_rate: float = 3e-5
     weight_decay: float = 0.01
     seed: int = 0
-    pooling_kind: str = pooling.CLS
-    use_entity_type: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -51,8 +49,6 @@ class TrainConfig:
             raise TrainingError("weight_decay must not be negative")
         if self.learning_rate <= 0:
             raise TrainingError("learning_rate must be positive")
-        if self.pooling_kind not in pooling.ALL_KINDS:
-            raise TrainingError(f"unknown pooling kind {self.pooling_kind!r}")
 
 
 def inbatch_loss(scores: np.ndarray) -> tuple[float, np.ndarray]:
@@ -123,17 +119,22 @@ def forward_pooled(
     return y, dict(cache=cache, weights=weights)
 
 
+def pooled(params: np.ndarray, enc_cfg: EncoderConfig, seqs: list[TokenSequence]):
+    """``forward_pooled`` under ``enc_cfg``'s pooling, padded to the slot
+    budget of its entity-type mode."""
+    slots = shared_slot_count(enc_cfg.use_entity_type)
+    return forward_pooled(params, enc_cfg, seqs, enc_cfg.pooling_kind, slots)
+
+
 def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
     return encoder.backward(state["cache"], pooling.backward_reduce(state["weights"], dY))
 
 
-def batch_loss_and_grads(
-    params_m, params_e, enc_cfg, mention_seqs, entity_seqs, kind, slot_count=None
-):
+def batch_loss_and_grads(params_m, params_e, enc_cfg, mention_seqs, entity_seqs):
     """Full pipeline loss for one batch of gold pairs, plus both flat gradients.
-    Both towers share the architecture ``enc_cfg``."""
-    ym, state_m = forward_pooled(params_m, enc_cfg, mention_seqs, kind, slot_count)
-    ye, state_e = forward_pooled(params_e, enc_cfg, entity_seqs, kind, slot_count)
+    Both towers share ``enc_cfg``, their architecture and pooling."""
+    ym, state_m = pooled(params_m, enc_cfg, mention_seqs)
+    ye, state_e = pooled(params_e, enc_cfg, entity_seqs)
     loss, dscores = inbatch_loss(ym @ ye.T)
     grads_m = backward_pooled(state_m, dscores @ ye)
     grads_e = backward_pooled(state_e, dscores.T @ ym)
@@ -151,13 +152,10 @@ class TrainResult:
 
 
 def build_training_pairs(
-    world: World,
-    vocab: Vocabulary,
-    enc_cfg: EncoderConfig,
-    use_entity_type: bool,
+    world: World, vocab: Vocabulary, enc_cfg: EncoderConfig
 ) -> tuple[list[TokenSequence], list[TokenSequence], list[str]]:
     """Templated (mention, gold entity) sequence pairs for one world."""
-    by_id = world.entity_by_id()
+    by_id, use_entity_type = world.entity_by_id(), enc_cfg.use_entity_type
     mention_seqs, entity_seqs, gold_ids = [], [], []
     for m in world.mentions:
         context = world.documents[m.context_document_id]
@@ -179,14 +177,9 @@ def train(
     train_cfg: TrainConfig,
 ) -> TrainResult:
     """Train both encoders on one world's gold mention-entity pairs."""
-    mention_seqs, entity_seqs, gold_ids = build_training_pairs(
-        world, vocab, enc_cfg, train_cfg.use_entity_type
-    )
+    mention_seqs, entity_seqs, gold_ids = build_training_pairs(world, vocab, enc_cfg)
     if not mention_seqs:
         raise TrainingError("no training mentions")
-    kind = train_cfg.pooling_kind
-    slots = shared_slot_count(train_cfg.use_entity_type)
-
     params_m = encoder.init_params(enc_cfg, train_cfg.seed)
     params_e = encoder.init_params(enc_cfg, train_cfg.seed + 1)
     opt_m = AdamW(params_m, train_cfg)
@@ -212,7 +205,6 @@ def train(
                 params_m, params_e, enc_cfg,
                 [mention_seqs[i] for i in batch],
                 [entity_seqs[i] for i in batch],
-                kind, slots,
             )
             lr = linear_lr(train_cfg.learning_rate, step, total_steps)
             opt_m.step(grads_m, lr)
@@ -238,9 +230,8 @@ class GradCheckReport:
 
 
 def gradient_check(
-    params_m, params_e, enc_cfg, mention_seqs, entity_seqs, kind,
-    slot_count=None, samples_per_tensor: int | None = None,
-    seed: int = 0,
+    params_m, params_e, enc_cfg, mention_seqs, entity_seqs,
+    samples_per_tensor: int | None = None, seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic end-to-end gradients against central finite differences.
 
@@ -249,12 +240,12 @@ def gradient_check(
     """
 
     def total_loss():
-        ym, _ = forward_pooled(params_m, enc_cfg, mention_seqs, kind, slot_count)
-        ye, _ = forward_pooled(params_e, enc_cfg, entity_seqs, kind, slot_count)
+        ym, _ = pooled(params_m, enc_cfg, mention_seqs)
+        ye, _ = pooled(params_e, enc_cfg, entity_seqs)
         return inbatch_loss(ym @ ye.T)[0]
 
     _, grads_m, grads_e = batch_loss_and_grads(
-        params_m, params_e, enc_cfg, mention_seqs, entity_seqs, kind, slot_count
+        params_m, params_e, enc_cfg, mention_seqs, entity_seqs
     )
     rng = np.random.default_rng(seed)
     worst, worst_param, worst_side = 0.0, "", ""

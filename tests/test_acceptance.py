@@ -9,6 +9,7 @@ reproductions.
 import filecmp
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,11 +49,10 @@ def test_criterion_1_gradient_correctness(capsys, char_vocab):
             entity_seqs.append(build_entity_sequence(e, char_vocab, 6))
         params_m = init_params(cfg, 0)
         params_e = init_params(cfg, 1)
-        slots = shared_slot_count(False)
         for kind in pooling.ALL_KINDS:
             report = training.gradient_check(
-                params_m, params_e, cfg, mention_seqs, entity_seqs, kind,
-                slot_count=slots, samples_per_tensor=8,
+                params_m, params_e, replace(cfg, pooling_kind=kind), mention_seqs,
+                entity_seqs, samples_per_tensor=8,
             )
             assert report.ok(1e-4), (kind, report.max_rel_error, report.worst_param)
         assert time.time() - start < 60.0
@@ -164,15 +164,11 @@ def test_criterion_6_overfit_sanity(capsys, toy_world, toy_vocab):
     start = time.time()
     try:
         enc_cfg = EncoderConfig(dim=64, layers=2, heads=2, ff_dim=256, max_len=32,
-                                vocab_size=len(toy_vocab))
-        train_cfg = training.TrainConfig(
-            epochs=30, learning_rate=2e-3, seed=0, pooling_kind=pooling.CONC_SPECIAL
-        )
+                                vocab_size=len(toy_vocab), pooling_kind=pooling.CONC_SPECIAL)
+        train_cfg = training.TrainConfig(epochs=30, learning_rate=2e-3, seed=0)
         result = training.train(toy_world, toy_vocab, enc_cfg, train_cfg)
         slots = shared_slot_count(False)
-        index = retrieval.build_index(
-            toy_world.entities, result.params_e, enc_cfg, toy_vocab, pooling.CONC_SPECIAL
-        )
+        index = retrieval.build_index(toy_world.entities, result.params_e, enc_cfg, toy_vocab)
         mention_seqs = [
             build_mention_sequence(
                 m, toy_world.documents[m.context_document_id], toy_vocab,

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candgen import retrieval, synthetic
+from candgen import pooling, retrieval, synthetic
 from candgen.cli import _read_results_tsv, _write_results_tsv, main
+from candgen.encoder import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +229,8 @@ def typed(toy_files, tmp_path_factory):
                 "--checkpoint", os.path.join(model, "mention.ckpt"),
                 "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
                 "--vocab", vocab, "--pooling", "cls"]
-    return dict(index=index, retrieve=retrieve, types=toy_files["types"])
+    return dict(index=index, retrieve=retrieve, types=toy_files["types"], vocab=vocab,
+                model=model)
 
 
 def test_eval_report_states_only_what_it_knows(toy_files, typed, tmp_path):
@@ -258,6 +260,63 @@ def test_retrieve_rejects_index_of_other_type_mode(typed, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "entity types on" in err and "--entity-types off" in err
     assert not os.path.exists(out)
+
+
+def _embed_argv(vocab, checkpoint, toy_files, out, *flags):
+    return ["embed", "--entities", toy_files["entities"], "--vocab", vocab,
+            "--checkpoint", checkpoint, "--out", str(out), *flags]
+
+
+def test_embed_refuses_pooling_other_than_the_checkpoints(typed, toy_files, tmp_path, capsys):
+    checkpoint = os.path.join(typed["model"], "entity.ckpt")
+    code = main(_embed_argv(typed["vocab"], checkpoint, toy_files, tmp_path / "index",
+                            "--pooling", "avg", "--entity-types", typed["types"]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint} was built with pooling 'cls'" in err
+    assert "embed was given --pooling avg" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_embed_refuses_types_on_a_types_off_checkpoint(pipeline, toy_files, tmp_path, capsys):
+    checkpoint = os.path.join(pipeline["model"], "entity.ckpt")
+    code = main(_embed_argv(pipeline["vocab"], checkpoint, toy_files, tmp_path / "index",
+                            "--entity-types", toy_files["types"]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint} was built with entity types off" in err
+    assert f"embed was given --entity-types {toy_files['types']}" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_retrieve_refuses_a_checkpoint_of_other_pooling_than_the_index(
+    typed, toy_files, tmp_path, capsys
+):
+    """Without --pooling, the mention checkpoint must still agree with the
+    index: here a cls checkpoint meets an avg index, types on for both."""
+    index = retrieval.load_index(typed["index"])
+    index.pooling_kind = "avg"
+    avg_index, out = str(tmp_path / "avg"), tmp_path / "results.tsv"
+    retrieval.save_index(index, avg_index)
+    checkpoint = os.path.join(typed["model"], "mention.ckpt")
+    code = main(["retrieve", "--index", avg_index, "--checkpoint", checkpoint,
+                 "--mentions", toy_files["mentions"], "--documents", toy_files["documents"],
+                 "--vocab", typed["vocab"], "--entity-types", typed["types"], "--k", "5",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (f"checkpoint {checkpoint} was built with pooling 'cls', "
+            f"but index {avg_index} was built with pooling 'avg'") in err
+    assert sorted(os.listdir(tmp_path)) == ["avg.mat"]
+
+
+def test_embed_takes_the_pooling_from_the_checkpoint(pipeline, toy_files, tmp_path):
+    """``pipeline``'s checkpoint is avg; embed without --pooling writes the
+    index that --pooling avg wrote, and records the pooling."""
+    checkpoint = os.path.join(pipeline["model"], "entity.ckpt")
+    run(_embed_argv(pipeline["vocab"], checkpoint, toy_files, tmp_path / "index"))
+    assert (tmp_path / "index.mat").read_bytes() == Path(pipeline["index"] + ".mat").read_bytes()
+    assert "pooling=avg" in Path(f"{tmp_path}/index.manifest").read_text().splitlines()
 
 
 def test_eval_refuses_k_beyond_the_results(toy_files, typed, tmp_path, capsys):
@@ -403,6 +462,11 @@ def test_artifact_grid_reruns_are_byte_identical(tmp_path):
     assert files["a"] == files["b"] and len(files["a"]) == 261
     for rel in files["a"]:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+    for kind in pooling.ALL_KINDS:  # each cell's checkpoints record its pooling and type mode
+        for arm in ("off", "on"):
+            for tower in ("entity", "mention"):
+                cfg, _ = load_checkpoint(tmp_path / "a" / f"{kind}-{arm}" / f"{tower}.ckpt")
+                assert (cfg.pooling_kind, cfg.use_entity_type) == (kind, arm == "on")
 
 
 def test_same_seed_reruns_are_byte_identical(toy_files, tmp_path):
@@ -460,7 +524,6 @@ def _experiment(toy_files, tmp_path, *flags):
 def test_experiment_cell_trains_like_train(toy_files, tmp_path, monkeypatch):
     """The cls, types-off cell runs train's own stage, --weight-decay included."""
     from candgen import training
-    from candgen.encoder import load_checkpoint
 
     flags = ["--weight-decay", "0.5", "--seed", "4"]
     model = str(tmp_path / "model")
@@ -472,7 +535,7 @@ def test_experiment_cell_trains_like_train(toy_files, tmp_path, monkeypatch):
 
     def spy(world, vocab, enc_cfg, train_cfg):
         result = real_train(world, vocab, enc_cfg, train_cfg)
-        trained[(train_cfg.pooling_kind, train_cfg.use_entity_type)] = result.params_m
+        trained[(enc_cfg.pooling_kind, enc_cfg.use_entity_type)] = result.params_m
         return result
 
     monkeypatch.setattr(training, "train", spy)

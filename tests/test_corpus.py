@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candgen import corpus as C
+from candgen import synthetic
+from candgen.bpe import TokenizerError, Vocabulary
 from candgen.corpus import (
     CorpusParseError,
     CorpusValidationError,
@@ -154,6 +156,35 @@ def test_strings_that_utf8_cannot_encode_rejected(tmp_path):
     write_jsonl(mentions, [_mention_row(), _mention_row(mention_id="m2", corpus="\udc00")])
     with pytest.raises(CorpusValidationError, match=r"m\.jsonl:2: 'corpus' cannot be encoded"):
         C.load_mentions(mentions)
+
+
+@pytest.mark.parametrize("case", ["entities", "mentions", "types", "results", "vocab", "merges"])
+def test_bytes_that_are_not_utf8_name_the_line(tmp_path, toy_world, toy_vocab, case):
+    """Byte 0xff on line 2 of a corpus, TAB or vocabulary file is refused by
+    that file's reader, naming ``file:line`` and the byte."""
+    entities, mentions, documents, types, results, vocab, merges = (
+        str(tmp_path / name) for name in
+        ("e.jsonl", "m.jsonl", "d.jsonl", "t.tsv", "r.tsv", "v.vocab", "v.merges"))
+    synthetic.write_world_files(toy_world, entities, mentions, documents, types)
+    toy_vocab.save(vocab, merges)
+    with open(results, "w") as f:
+        f.write("m1\t1\te1\t0.5\nm1\t2\te2\t0.25\n")
+    path, read, error = {
+        "entities": (entities, lambda: C.load_entities(entities, "w"), CorpusParseError),
+        "mentions": (mentions, lambda: C.load_mentions(mentions), CorpusParseError),
+        "types": (types, lambda: C.load_entity_type_annotations(types), CorpusParseError),
+        "results": (results, lambda: list(C.read_tab_rows(results, 4, "4 fields")),
+                    CorpusParseError),
+        "vocab": (vocab, lambda: Vocabulary.load(vocab, merges), TokenizerError),
+        "merges": (merges, lambda: Vocabulary.load(vocab, merges), TokenizerError),
+    }[case]
+    with open(path, "rb") as f:
+        lines = f.read().split(b"\n")
+    lines[1] = lines[1][:3] + b"\xff" + lines[1][3:]
+    with open(path, "wb") as f:
+        f.write(b"\n".join(lines))
+    with pytest.raises(error, match=re.escape(f"{path}:2: byte 0xff is not UTF-8")):
+        read()
 
 
 def test_inverted_span_rejected(tmp_path):

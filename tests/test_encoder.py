@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candgen import encoder as E
+from candgen import pooling
 from candgen.encoder import EncoderConfig
 from candgen.training import AdamW, TrainConfig
 
@@ -26,7 +27,8 @@ def test_config_validation():
         EncoderConfig(dim=10, heads=3, vocab_size=10)
     with pytest.raises(E.EncoderError):
         EncoderConfig(vocab_size=0)
-    for bad in (dict(heads=0), dict(dim=0), dict(ff_dim=0), dict(layers=-1)):
+    for bad in (dict(heads=0), dict(dim=0), dict(ff_dim=0), dict(layers=-1), dict(dim=8.0),
+                dict(layers=True), dict(pooling_kind=None), dict(use_entity_type=1)):
         with pytest.raises(E.EncoderError):
             EncoderConfig(vocab_size=10, **bad)
 
@@ -243,14 +245,18 @@ def test_checkpoint_round_trip(tmp_path, tiny_config):
     ff_dim=st.integers(1, 9),
     max_len=st.integers(4, 9),
     vocab_size=st.integers(1, 30),
+    kind=st.sampled_from(pooling.ALL_KINDS),
+    typed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(st.sampled_from([np.inf, -np.inf, -0.0, 5e-324, 1.7e308]), max_size=5),
 )
 def test_checkpoint_round_trip_property(
-    tmp_path_factory, heads, head_dim, layers, ff_dim, max_len, vocab_size, seed, specials
+    tmp_path_factory, heads, head_dim, layers, ff_dim, max_len, vocab_size, kind, typed, seed,
+    specials,
 ):
     cfg = EncoderConfig(dim=heads * head_dim, layers=layers, heads=heads, ff_dim=ff_dim,
-                        max_len=max_len, vocab_size=vocab_size)
+                        max_len=max_len, vocab_size=vocab_size, pooling_kind=kind,
+                        use_entity_type=typed)
     rng = np.random.default_rng(seed)
     count = E.param_count(cfg)
     params = rng.normal(size=count) * 10.0 ** rng.integers(-300, 300, size=count)
@@ -284,7 +290,8 @@ def _with_header(header):
 @pytest.mark.parametrize("case", [
     "long_body", "short_body", "cut_header", "cut_length", "bad_magic", "not_json",
     "old_dropout_field", "seed_field", "missing_field", "float_field", "bad_config",
-    "manifest_order", "manifest_shape",
+    "manifest_order", "manifest_shape", "unknown_pooling", "type_mode_as_int",
+    "type_mode_as_string", "before_pooling_fields",
 ])
 def test_load_checkpoint_refuses_bad_files(tmp_path, tiny_config, case):
     path, raw, end = _saved(tmp_path, tiny_config)
@@ -316,14 +323,28 @@ def test_load_checkpoint_refuses_bad_files(tmp_path, tiny_config, case):
             header["tensors"][0], header["tensors"][1] = header["tensors"][1], header["tensors"][0]
         elif case == "manifest_shape":
             header["tensors"][0][1] = [header["tensors"][0][1][1], header["tensors"][0][1][0]]
+        elif case == "unknown_pooling":
+            header["config"]["pooling_kind"] = "max"
+        elif case == "type_mode_as_int":
+            header["config"]["use_entity_type"] = 1
+        elif case == "type_mode_as_string":
+            header["config"]["use_entity_type"] = "true"
+        elif case == "before_pooling_fields":  # as written before the config held them
+            del header["config"]["pooling_kind"], header["config"]["use_entity_type"]
         raw = _with_header(header) + body
     with open(path, "wb") as f:
         f.write(raw)
     with pytest.raises(E.EncoderError, match=re.escape(str(path))) as err:
         E.load_checkpoint(path)
-    if case in ("old_dropout_field", "seed_field"):
-        field = "'dropout'" if case == "old_dropout_field" else "'seed'"
-        assert field in str(err.value) and "retrained" in str(err.value)
+    message = str(err.value)
+    if case in ("old_dropout_field", "seed_field", "before_pooling_fields"):
+        field = {"old_dropout_field": "'dropout'", "seed_field": "'seed'",
+                 "before_pooling_fields": "'pooling_kind'"}[case]
+        assert field in message and "retrained" in message
+    elif case == "unknown_pooling":
+        assert "'max'" in message
+    elif case.startswith("type_mode_as"):
+        assert "use_entity_type must be a bool" in message
 
 
 def test_save_checkpoint_refuses_wrong_vector(tmp_path, tiny_config):

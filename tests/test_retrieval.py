@@ -163,19 +163,19 @@ def test_build_index_shapes_and_determinism(toy_world, toy_vocab):
     cfg = EncoderConfig(dim=16, layers=1, heads=2, ff_dim=32, max_len=16,
                         vocab_size=len(toy_vocab))
     params = init_params(cfg, 0)
-    i1 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab, "cls")
+    i1 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab)
     assert i1.matrix.shape == (3, 16)
-    i2 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab, "cls")
+    i2 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab)
     np.testing.assert_array_equal(i1.matrix, i2.matrix)
     assert i1.entity_ids == [e.entity_id for e in toy_world.entities[:3]]
 
 
 def test_build_index_conc_special_padded_slots(toy_world, toy_vocab):
     cfg = EncoderConfig(dim=8, layers=0, heads=2, ff_dim=16, max_len=16,
-                        vocab_size=len(toy_vocab))
+                        vocab_size=len(toy_vocab), pooling_kind="conc_special")
     params = init_params(cfg, 0)
     slots = shared_slot_count(False)
-    idx = R.build_index(toy_world.entities[:4], params, cfg, toy_vocab, "conc_special")
+    idx = R.build_index(toy_world.entities[:4], params, cfg, toy_vocab)
     assert idx.matrix.shape == (4, slots * 8)
     # entity side has 3 specials; the 4th slot stays zero
     np.testing.assert_array_equal(idx.matrix[:, 3 * 8 :], 0.0)
@@ -185,7 +185,7 @@ def test_build_index_empty_dictionary_rejected(toy_vocab):
     cfg = EncoderConfig(dim=8, layers=0, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
     with pytest.raises(R.RetrievalError):
-        R.build_index([], init_params(cfg, 0), cfg, toy_vocab, "cls")
+        R.build_index([], init_params(cfg, 0), cfg, toy_vocab)
 
 
 def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
@@ -211,8 +211,10 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
             chunked = R.encode_chunked(
                 seqs, lambda c: forward_pooled(params, cfg, c, kind, slots)[0])
             np.testing.assert_array_equal(chunked, alone)
-        index = R.build_index(entities, params, cfg, toy_vocab, kind, use_entity_type=True)
+        typed = replace(cfg, pooling_kind=kind, use_entity_type=True)
+        index = R.build_index(entities, params, typed, toy_vocab)
         np.testing.assert_array_equal(index.matrix, alone)
+        assert (index.pooling_kind, index.use_entity_type) == (kind, True)
 
 
 def test_index_save_load_round_trip(tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from candgen import pooling
 from candgen import training as T
 from candgen.corpus import EntityRecord, MentionRecord, apply_type_annotations
-from candgen.encoder import EncoderConfig, init_params, param_views
+from candgen.encoder import EncoderConfig, EncoderError, init_params, param_views
 from candgen.templates import (
     build_entity_sequence,
     build_mention_sequence,
@@ -166,7 +168,8 @@ def test_zero_upstream_means_zero_entity_gradients(char_vocab):
 
 def test_gradient_check_tiny_model(char_vocab):
     cfg, pm, pe, ms, es = _tiny_pipeline(char_vocab)
-    report = T.gradient_check(pm, pe, cfg, ms, es, "avg", samples_per_tensor=6)
+    report = T.gradient_check(pm, pe, replace(cfg, pooling_kind="avg"), ms, es,
+                              samples_per_tensor=6)
     assert report.ok(1e-4), (report.max_rel_error, report.worst_param)
 
 
@@ -205,8 +208,8 @@ def test_train_config_validation():
         T.TrainConfig(batch_size=0)
     with pytest.raises(T.TrainingError):
         T.TrainConfig(learning_rate=0.0)
-    with pytest.raises(T.TrainingError):
-        T.TrainConfig(pooling_kind="nope")
+    with pytest.raises(EncoderError, match="'nope'"):
+        EncoderConfig(vocab_size=5, pooling_kind="nope")
 
 
 @settings(max_examples=40, deadline=None)
