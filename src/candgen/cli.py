@@ -146,7 +146,8 @@ def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg):
     ]
     slots = shared_slot_count(typed)
     return retrieval.encode_chunked(
-        seqs, lambda c: forward_pooled(params_m, enc_cfg, c, kind, slots)[0]
+        seqs, lambda c: forward_pooled(params_m, enc_cfg, c, kind, slots)[0],
+        pooling.pooled_dim(kind, enc_cfg.dim, slots),
     )
 
 
@@ -238,7 +239,20 @@ def cmd_retrieve(args):
 
 def _write_results_tsv(results: list[retrieval.RetrievalResult], path) -> None:
     """``mention_id<TAB>rank<TAB>entity_id<TAB>score`` lines, the score to 12
-    significant digits; ``_read_results_tsv`` reads them back."""
+    significant digits; ``_read_results_tsv`` reads them back. An id that
+    would not read back (one UTF-8 cannot encode, or one holding a TAB, CR or
+    LF; an index header can carry either) is refused, naming it, before the
+    file is opened."""
+    for r in results:
+        for ident in (r.mention_id, *(eid for eid, _ in r.candidates)):
+            if any(c in ident for c in "\t\r\n"):
+                raise SystemExit(f"id {ident!r} holds a TAB, CR or LF; {path} is not written")
+            try:
+                ident.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise SystemExit(
+                    f"id {ident!r} cannot be encoded as UTF-8 ({e.reason}); {path} is not written"
+                ) from None
     with open(path, "w", encoding="utf-8") as f:
         for r in results:
             for rank, (eid, score) in enumerate(r.candidates, 1):

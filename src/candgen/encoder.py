@@ -129,13 +129,13 @@ def _layernorm_backward(dy, g, cache, dg, db):
 def _linear_backward(dy, x, w, dw, db):
     """For ``y = x @ w + b`` on (B, n, .) arrays: write the weight and bias
     gradients into ``dw`` and ``db``; return dx."""
-    dw[...] = np.einsum("bni,bnj->ij", x, dy)
+    dw[...] = x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
     db[...] = dy.sum(axis=(0, 1))
     return dy @ w.T
 
 
 def _gelu(x):
-    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))  # np.power is fast for squares only
     return 0.5 * x * (1.0 + t), t
 
 
@@ -157,11 +157,14 @@ def _merge_heads(x):
 # -- forward / backward ------------------------------------------------------
 
 
-def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray):
+def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray,
+            *, keep_cache: bool = False):
     """Run the encoder on a batch of id sequences.
 
     Returns (h, cache) where h is (B, n, D) with padding rows zeroed, so
     the output is invariant to whatever ids sit in padding positions.
+    Only ``keep_cache=True`` keeps the per-layer activations that
+    ``backward`` needs; inference leaves them to be freed layer by layer.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != config.max_len:
@@ -181,7 +184,7 @@ def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_len
     x = views["tok_emb"][ids] + views["pos_emb"][None, :n, :]
     scale = 1.0 / np.sqrt(config.dim // config.heads)
 
-    layer_caches = []
+    layer_caches = [] if keep_cache else None
     for i in range(config.layers):
         p = lambda name: views[f"l{i}.{name}"]
         u, ln1_cache = _layernorm_forward(x, p("ln1.g"), p("ln1.b"))
@@ -201,10 +204,11 @@ def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_len
         x = a + (act @ p("ffn.w2") + p("ffn.b2"))
         if not np.isfinite(x).all():
             raise EncoderError(f"non-finite activation in layer {i}")
-        layer_caches.append(
-            dict(u=u, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx, w=w,
-                 ln2=ln2_cache, f1=f1, act=act, gelu_t=gelu_t)
-        )
+        if keep_cache:
+            layer_caches.append(
+                dict(u=u, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, ctx=ctx, w=w,
+                     ln2=ln2_cache, f1=f1, act=act, gelu_t=gelu_t)
+            )
 
     h = x * real[:, :, None]
     return h, dict(ids=ids, real=real, layers=layer_caches, config=config, views=views)
@@ -212,8 +216,11 @@ def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_len
 
 def backward(cache: dict, dh: np.ndarray) -> np.ndarray:
     """Backpropagate an upstream (B, n, D) gradient to every parameter;
-    returns one flat gradient vector in the parameters' layout."""
+    returns one flat gradient vector in the parameters' layout. ``cache``
+    must come from ``forward(..., keep_cache=True)``."""
     config: EncoderConfig = cache["config"]
+    if cache["layers"] is None:
+        raise EncoderError("forward kept no cache; call it with keep_cache=True to backpropagate")
     ids, real = cache["ids"], cache["real"]
     if dh.shape != (*ids.shape, config.dim):
         raise EncoderError(f"upstream gradient shape {dh.shape} mismatch")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import artifact, pooling
 from .encoder import EncoderConfig
-from .templates import build_entity_sequence
+from .templates import build_entity_sequence, shared_slot_count
 from .training import pooled
 
 DOT = "dot"
@@ -75,7 +75,10 @@ class EmbeddingIndex:
         repeated = _first_repeat(self.entity_ids)
         if repeated is not None:
             raise RetrievalError(f"entity id {repeated!r} names more than one row")
-        if not np.isfinite(self.matrix).all():
+        # min and max carry any NaN or infinity, with no (N, P) temporary: one
+        # that size, once freed, raises glibc's dynamic mmap and trim thresholds,
+        # and every later working set below them then stays resident.
+        if self.matrix.size and not np.isfinite([self.matrix.min(), self.matrix.max()]).all():
             raise RetrievalError("non-finite embedding row")
         order = sorted(range(len(self.entity_ids)), key=lambda i: self.entity_ids[i])
         self._id_rank = np.empty(len(order), dtype=np.int64)
@@ -205,24 +208,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def encode_chunked(seqs: list, encode) -> np.ndarray:
-    """The (N, P) rows of ``encode`` over ``EMBED_CHUNK``-sized chunks of ``seqs``,
-    in input order, on T = ``min(usable CPUs, chunks)`` threads that each take
-    every T-th chunk. The calling thread is one of them, so one chunk starts no
-    thread and the pool adds T - 1 (each pool thread's allocations add to peak
-    memory). A row does not depend on its chunk: the rows are the same for any
-    T. No sequences give a (0, 0) matrix."""
-    chunks = [seqs[i : i + EMBED_CHUNK] for i in range(0, len(seqs), EMBED_CHUNK)]
-    threads = max(1, min(_usable_cpus(), len(chunks)))
+def encode_chunked(seqs: list, encode, width: int) -> np.ndarray:
+    """The (N, width) rows of ``encode`` over ``EMBED_CHUNK``-sized chunks of
+    ``seqs``, in input order, on T = ``min(usable CPUs, chunks)`` threads that
+    each take every T-th chunk. Each thread writes its chunks' rows straight
+    into the one (N, width) matrix allocated here, so none holds blocks for a
+    final concatenation. The calling thread is one of them, so one chunk starts
+    no thread and the pool adds T - 1 (each pool thread's allocations add to
+    peak memory). A row does not depend on its chunk: the rows are the same for
+    any T."""
+    out = np.empty((len(seqs), width))
+    starts = range(0, len(seqs), EMBED_CHUNK)
+    threads = max(1, min(_usable_cpus(), len(starts)))
 
     def run(t):
-        return [encode(c) for c in chunks[t::threads]]
+        for i in starts[t::threads]:
+            out[i : i + EMBED_CHUNK] = encode(seqs[i : i + EMBED_CHUNK])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # T - 1 threads start
         rest = pool.map(run, range(1, threads))
-        parts = [run(0), *rest]
-    blocks = [parts[i % threads][i // threads] for i in range(len(chunks))]
-    return np.concatenate(blocks) if blocks else np.zeros((0, 0))
+        run(0)
+        list(rest)  # raises what a pool thread raised
+    return out
 
 
 def build_index(entities, params_e: np.ndarray, enc_cfg: EncoderConfig, vocab) -> EmbeddingIndex:
@@ -233,9 +240,11 @@ def build_index(entities, params_e: np.ndarray, enc_cfg: EncoderConfig, vocab) -
         raise RetrievalError("cannot build an index over an empty dictionary")
     seqs = [build_entity_sequence(e, vocab, enc_cfg.max_len, enc_cfg.use_entity_type)
             for e in entities]
+    width = pooling.pooled_dim(enc_cfg.pooling_kind, enc_cfg.dim,
+                               shared_slot_count(enc_cfg.use_entity_type))
     return EmbeddingIndex(
         entity_ids=[e.entity_id for e in entities],
-        matrix=encode_chunked(seqs, lambda c: pooled(params_e, enc_cfg, c)[0]),
+        matrix=encode_chunked(seqs, lambda c: pooled(params_e, enc_cfg, c)[0], width),
         pooling_kind=enc_cfg.pooling_kind,
         use_entity_type=enc_cfg.use_entity_type,
     )

@@ -105,25 +105,30 @@ def forward_pooled(
     seqs: list[TokenSequence],
     kind: str,
     slot_count: int | None = None,
+    *,
+    keep_cache: bool = False,
 ):
     """Encode a batch of sequences and pool each to a vector.
 
-    Returns (Y, state) with Y of shape (B, P); state feeds backward_pooled.
+    Returns (Y, state) with Y of shape (B, P); state feeds backward_pooled
+    when the encoder ran with ``keep_cache=True``.
     """
     ids = np.stack([s.ids for s in seqs])
     lens = np.array([s.attn_len for s in seqs])
-    h, cache = encoder.forward(params, enc_cfg, ids, lens)
+    h, cache = encoder.forward(params, enc_cfg, ids, lens, keep_cache=keep_cache)
     y, weights = pooling.reduce(
         h, lens, [s.special_indices for s in seqs], kind, slot_count
     )
     return y, dict(cache=cache, weights=weights)
 
 
-def pooled(params: np.ndarray, enc_cfg: EncoderConfig, seqs: list[TokenSequence]):
+def pooled(params: np.ndarray, enc_cfg: EncoderConfig, seqs: list[TokenSequence],
+           *, keep_cache: bool = False):
     """``forward_pooled`` under ``enc_cfg``'s pooling, padded to the slot
     budget of its entity-type mode."""
     slots = shared_slot_count(enc_cfg.use_entity_type)
-    return forward_pooled(params, enc_cfg, seqs, enc_cfg.pooling_kind, slots)
+    return forward_pooled(params, enc_cfg, seqs, enc_cfg.pooling_kind, slots,
+                          keep_cache=keep_cache)
 
 
 def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
@@ -133,8 +138,8 @@ def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
 def batch_loss_and_grads(params_m, params_e, enc_cfg, mention_seqs, entity_seqs):
     """Full pipeline loss for one batch of gold pairs, plus both flat gradients.
     Both towers share ``enc_cfg``, their architecture and pooling."""
-    ym, state_m = pooled(params_m, enc_cfg, mention_seqs)
-    ye, state_e = pooled(params_e, enc_cfg, entity_seqs)
+    ym, state_m = pooled(params_m, enc_cfg, mention_seqs, keep_cache=True)
+    ye, state_e = pooled(params_e, enc_cfg, entity_seqs, keep_cache=True)
     loss, dscores = inbatch_loss(ym @ ye.T)
     grads_m = backward_pooled(state_m, dscores @ ye)
     grads_e = backward_pooled(state_e, dscores.T @ ym)

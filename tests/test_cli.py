@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from candgen import pooling, retrieval, synthetic
@@ -176,6 +177,31 @@ def test_os_errors_are_reported_not_raised(pipeline, toy_files, tmp_path, capsys
     assert not os.path.exists(tmp_path / "eval.report")
 
 
+def _utf8_encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("bad_id", ["e\tx", "e\rx", "e\nx", "e\ud800"])
+def test_retrieve_refuses_an_index_id_it_cannot_write(pipeline, toy_files, tmp_path, capsys,
+                                                      bad_id):
+    """``load_index`` takes any JSON string as an id, but the results file
+    could not hold this one: retrieve names it, exits 1 and writes nothing."""
+    index = retrieval.load_index(pipeline["index"])
+    index.entity_ids[3] = bad_id
+    prefix, out = str(tmp_path / "odd"), tmp_path / "results.tsv"
+    retrieval.save_index(index, prefix)
+    argv = _retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", out)
+    argv[argv.index("--index") + 1] = prefix
+    argv[argv.index("--k") + 1] = str(len(index.entity_ids))  # every id is written
+    assert main(argv) == 1
+    assert repr(bad_id) in capsys.readouterr().err
+    assert not out.exists() and not os.path.exists(f"{out}.manifest")
+
+
 _ODD_IDS = (st.sampled_from(["", "é\u4e2d", "\x85", "\u2028", "\x0b", "a b"])
             | st.text(st.characters(exclude_characters="\t\r\n"), max_size=4))
 _ODD_SCORES = st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]) | st.floats(allow_nan=False)
@@ -186,11 +212,21 @@ _ODD_SCORES = st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]) | st.floa
     st.tuples(_ODD_IDS, st.lists(st.tuples(_ODD_IDS, _ODD_SCORES), min_size=1, max_size=4)),
     max_size=4, unique_by=lambda row: row[0],
 ))
+@example(rows=[("", [("\ud800", -0.0)])])  # a lone surrogate, as a JSON escape carries it
 def test_results_tsv_round_trip(tmp_path_factory, rows):
     """What retrieve writes, eval reads back: the same ids in the same rank
-    order, and each score as its 12-significant-digit text parses."""
+    order, and each score as its 12-significant-digit text parses. An id that
+    UTF-8 cannot encode is refused by name, and no file is left behind."""
     path = tmp_path_factory.mktemp("results") / "results.tsv"
-    _write_results_tsv([retrieval.RetrievalResult(mid, cands) for mid, cands in rows], path)
+    results = [retrieval.RetrievalResult(mid, cands) for mid, cands in rows]
+    unwritable = [i for mid, cands in rows for i in (mid, *(eid for eid, _ in cands))
+                  if not _utf8_encodable(i)]
+    if unwritable:
+        with pytest.raises(SystemExit, match=re.escape(repr(unwritable[0]))):
+            _write_results_tsv(results, path)
+        assert not path.exists()
+        return
+    _write_results_tsv(results, path)
     assert [(r.mention_id, [(eid, s.hex()) for eid, s in r.candidates])
             for r in _read_results_tsv(path)] == [
         (mid, [(eid, float(f"{s:.12g}").hex()) for eid, s in cands]) for mid, cands in rows
@@ -467,6 +503,19 @@ def test_artifact_grid_reruns_are_byte_identical(tmp_path):
             for tower in ("entity", "mention"):
                 cfg, _ = load_checkpoint(tmp_path / "a" / f"{kind}-{arm}" / f"{tower}.ckpt")
                 assert (cfg.pooling_kind, cfg.use_entity_type) == (kind, arm == "on")
+
+    # tools/grid_diff.py passes a tree compared with itself, and fails one
+    # whose results swap two ranks
+    grid_diff = [sys.executable, str(root / "tools" / "grid_diff.py"), str(tmp_path / "a")]
+    same = subprocess.run([*grid_diff, str(tmp_path / "a")], capture_output=True, text=True)
+    assert same.returncode == 0 and "largest |score difference| 0\n" in same.stdout, same.stdout
+    swapped = tmp_path / "b" / "cls-off" / "dot.tsv"
+    rows = [line.split("\t") for line in swapped.read_text().splitlines(keepends=True)]
+    rows[0][1], rows[1][1] = rows[1][1], rows[0][1]
+    swapped.write_text("".join("\t".join(row) for row in rows))
+    other = subprocess.run([*grid_diff, str(tmp_path / "b")], capture_output=True, text=True)
+    assert other.returncode == 1, other.stdout
+    assert "cls-off/dot.tsv: ids or ranks differ" in other.stdout
 
 
 def test_same_seed_reruns_are_byte_identical(toy_files, tmp_path):

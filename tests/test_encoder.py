@@ -104,15 +104,15 @@ def test_bad_attention_lengths_rejected(tiny_config, lens):
 def test_backward_shape_mismatch_rejected(tiny_config):
     params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 2, 0, 0]])
-    h, cache = E.forward(params, tiny_config, ids, np.array([4]))
-    with pytest.raises(E.EncoderError):
+    h, cache = E.forward(params, tiny_config, ids, np.array([4]), keep_cache=True)
+    with pytest.raises(E.EncoderError, match="mismatch"):
         E.backward(cache, np.zeros((1, 3, 8)))
 
 
 def test_zero_upstream_gradient_gives_zero_grads(tiny_config):
     params = E.init_params(tiny_config, 3)
     ids = np.array([[3, 1, 7, 2, 0, 0]])
-    h, cache = E.forward(params, tiny_config, ids, np.array([4]))
+    h, cache = E.forward(params, tiny_config, ids, np.array([4]), keep_cache=True)
     grads = E.backward(cache, np.zeros_like(h))
     assert grads.shape == params.shape
     for name, g in E.param_views(grads, tiny_config).items():
@@ -124,15 +124,63 @@ def test_gradient_additivity_over_examples(tiny_config):
     rng = np.random.default_rng(0)
     ids, lens = rand_batch(tiny_config, rng, batch=2)
     dh = rng.normal(size=(2, tiny_config.max_len, tiny_config.dim))
-    _, cache = E.forward(params, tiny_config, ids, lens)
+    _, cache = E.forward(params, tiny_config, ids, lens, keep_cache=True)
     g_batch = E.backward(cache, dh)
     g_sum = 0.0
     for i in range(2):
-        _, c = E.forward(params, tiny_config, ids[i : i + 1], lens[i : i + 1])
+        _, c = E.forward(params, tiny_config, ids[i : i + 1], lens[i : i + 1], keep_cache=True)
         g_sum = g_sum + E.backward(c, dh[i : i + 1])
     batch_views = E.param_views(g_batch, tiny_config)
     for name, g in E.param_views(g_sum, tiny_config).items():
         np.testing.assert_allclose(batch_views[name], g, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("layers", [0, 1])
+def test_backward_refuses_a_forward_that_kept_no_cache(layers):
+    cfg = EncoderConfig(dim=8, layers=layers, heads=2, ff_dim=16, max_len=6, vocab_size=32)
+    ids = np.array([[3, 1, 7, 2, 0, 0]])
+    h, cache = E.forward(E.init_params(cfg, 3), cfg, ids, np.array([4]))
+    with pytest.raises(E.EncoderError, match="no cache"):
+        E.backward(cache, np.ones_like(h))
+
+
+def _gelu_pow(x):
+    """The GELU formula with its cube as ``x**3``, kept as the reference."""
+    t = np.tanh(E._GELU_C * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + t), t
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 3.0, 30.0]))
+def test_gelu_matches_the_power_formula(seed, scale):
+    """The cube by multiplication rounds differently from ``x**3``; the
+    activation and its backward stay within 1e-14 of the power formula."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, scale, size=(3, 5, 16))
+    dy = rng.normal(size=x.shape)
+    act, t = E._gelu(x)
+    ref_act, ref_t = _gelu_pow(x)
+    np.testing.assert_allclose(act, ref_act, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(E._gelu_backward(dy, x, t), E._gelu_backward(dy, x, ref_t),
+                               rtol=0, atol=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(b=st.integers(1, 4), n=st.integers(1, 9), i=st.integers(1, 12), j=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_linear_backward_matches_einsum(b, n, i, j, seed):
+    """``dw`` is one 2-D GEMM, summed in another order than the reference
+    ``einsum("bni,bnj->ij")``; each entry stays within 1e-12 of the reference,
+    relative to its sum of absolute products. ``db`` and ``dx`` keep their bits."""
+    rng = np.random.default_rng(seed)
+    x, dy, w = rng.normal(size=(b, n, i)), rng.normal(size=(b, n, j)), rng.normal(size=(i, j))
+    dw, db = np.empty((i, j)), np.empty(j)
+    dx = E._linear_backward(dy, x, w, dw, db)
+    ref = np.einsum("bni,bnj->ij", x, dy)
+    scale = np.einsum("bni,bnj->ij", abs(x), abs(dy))
+    assert (abs(dw - ref) <= 1e-12 * scale).all()
+    assert np.array_equal(db, dy.sum(axis=(0, 1)))
+    assert np.array_equal(dx, dy @ w.T)
 
 
 def test_gradients_match_finite_differences(tiny_config):
@@ -145,7 +193,7 @@ def test_gradients_match_finite_differences(tiny_config):
         h, _ = E.forward(params, tiny_config, ids, lens)
         return float((w * h).sum())
 
-    _, cache = E.forward(params, tiny_config, ids, lens)
+    _, cache = E.forward(params, tiny_config, ids, lens, keep_cache=True)
     grads = E.param_views(E.backward(cache, w), tiny_config)
     step = 1e-5
     worst = 0.0

@@ -189,8 +189,10 @@ def test_build_index_empty_dictionary_rejected(toy_vocab):
 
 
 def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
-    """Entity and mention sequences over three chunks on two threads get the
-    rows ``forward_pooled`` gives each sequence alone, under every pooling."""
+    """Entity and mention sequences on two threads get the rows
+    ``forward_pooled`` gives each sequence alone, under every pooling, in one
+    matrix of the pooled width: for 0, 1, ``EMBED_CHUNK``, 2 ``EMBED_CHUNK``
+    + 1 and all (up to four chunks) of the sequences."""
     monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
@@ -204,13 +206,15 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
                     for m in toy_world.mentions * 2]
     entity_seqs = [build_entity_sequence(e, toy_vocab, cfg.max_len, True) for e in entities]
     for kind in pooling.ALL_KINDS:
+        width = pooling.pooled_dim(kind, cfg.dim, slots)
         for seqs in (mention_seqs, entity_seqs):
-            assert len(seqs) > 2 * R.EMBED_CHUNK
+            assert len(seqs) > 2 * R.EMBED_CHUNK + 1
             alone = np.concatenate(
                 [forward_pooled(params, cfg, [s], kind, slots)[0] for s in seqs])
-            chunked = R.encode_chunked(
-                seqs, lambda c: forward_pooled(params, cfg, c, kind, slots)[0])
-            np.testing.assert_array_equal(chunked, alone)
+            for n in (0, 1, R.EMBED_CHUNK, 2 * R.EMBED_CHUNK + 1, len(seqs)):
+                chunked = R.encode_chunked(
+                    seqs[:n], lambda c: forward_pooled(params, cfg, c, kind, slots)[0], width)
+                np.testing.assert_array_equal(chunked, alone[:n])
         typed = replace(cfg, pooling_kind=kind, use_entity_type=True)
         index = R.build_index(entities, params, typed, toy_vocab)
         np.testing.assert_array_equal(index.matrix, alone)
@@ -332,8 +336,12 @@ def test_load_index_refuses_bad_files(tmp_path, case):
 def test_misaligned_index_rejected():
     with pytest.raises(R.RetrievalError):
         R.EmbeddingIndex(["e1"], np.ones((2, 2)))
-    with pytest.raises(R.RetrievalError):
-        R.EmbeddingIndex(["e1"], np.array([[np.nan, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):  # anywhere, beside finite values of either sign
+        matrix = np.array([[1.0, -2.0], [3.0, -1e308]])
+        matrix[1, 0] = bad
+        with pytest.raises(R.RetrievalError, match="non-finite"):
+            R.EmbeddingIndex(["e1", "e2"], matrix)
+    R.EmbeddingIndex([], np.zeros((0, 2)))  # an empty index has nothing to check
 
 
 def test_repeated_entity_ids_rejected():

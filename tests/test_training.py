@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from candgen import pooling
+from candgen import encoder, pooling
 from candgen import training as T
 from candgen.corpus import EntityRecord, MentionRecord, apply_type_annotations
 from candgen.encoder import EncoderConfig, EncoderError, init_params, param_views
@@ -160,7 +160,7 @@ def _tiny_pipeline(char_vocab, kind="cls", batch=2):
 
 def test_zero_upstream_means_zero_entity_gradients(char_vocab):
     cfg, pm, pe, ms, es = _tiny_pipeline(char_vocab)
-    ye, state_e = T.forward_pooled(pe, cfg, es, "cls")
+    ye, state_e = T.forward_pooled(pe, cfg, es, "cls", keep_cache=True)
     grads = T.backward_pooled(state_e, np.zeros_like(ye))
     assert grads.shape == pe.shape
     assert not grads.any()
@@ -212,6 +212,21 @@ def test_train_config_validation():
         EncoderConfig(vocab_size=5, pooling_kind="nope")
 
 
+def _mixed_batch(world, vocab, typed, max_len, rng):
+    """2 to 9 mention and entity sequences, so mixed attention lengths and
+    special positions, with random entity types when ``typed``."""
+    if typed:
+        labels = ("PERSON", "ORG", "GPE")
+        ids = [e.entity_id for e in world.entities] + [m.mention_id for m in world.mentions]
+        world = apply_type_annotations(world, {i: labels[rng.integers(3)] for i in ids})
+    pool = [
+        build_mention_sequence(m, world.documents[m.context_document_id], vocab, max_len, typed)
+        for m in world.mentions[:20]
+    ] + [build_entity_sequence(e, vocab, max_len, typed) for e in world.entities]
+    picked = rng.choice(len(pool), size=int(rng.integers(2, 10)), replace=False)
+    return [pool[i] for i in picked]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(pooling.ALL_KINDS),
@@ -220,30 +235,18 @@ def test_train_config_validation():
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_batched_pooling_equals_row_by_row(toy_world, toy_vocab, kind, typed, max_len, seed):
-    """One batch of mixed mention and entity sequences (so mixed attention
-    lengths and special positions) pools exactly as one sequence at a time,
-    and each row's gradients are exactly those of that row alone."""
+    """One batch of mixed mention and entity sequences pools exactly as one
+    sequence at a time, and each row's gradients are exactly those of that
+    row alone."""
     rng = np.random.default_rng(seed)
-    world = toy_world
-    if typed:
-        labels = ("PERSON", "ORG", "GPE")
-        ids = [e.entity_id for e in world.entities] + [m.mention_id for m in world.mentions]
-        world = apply_type_annotations(world, {i: labels[rng.integers(3)] for i in ids})
-    pool = [
-        build_mention_sequence(
-            m, world.documents[m.context_document_id], toy_vocab, max_len, typed
-        )
-        for m in world.mentions[:20]
-    ] + [build_entity_sequence(e, toy_vocab, max_len, typed) for e in world.entities]
-    picked = rng.choice(len(pool), size=int(rng.integers(2, 10)), replace=False)
-    seqs = [pool[i] for i in picked]
+    seqs = _mixed_batch(toy_world, toy_vocab, typed, max_len, rng)
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=max_len,
                         vocab_size=len(toy_vocab))
     params = init_params(cfg, seed)
     slots = shared_slot_count(typed)
 
-    y, state = T.forward_pooled(params, cfg, seqs, kind, slots)
-    rows = [T.forward_pooled(params, cfg, [s], kind, slots) for s in seqs]
+    y, state = T.forward_pooled(params, cfg, seqs, kind, slots, keep_cache=True)
+    rows = [T.forward_pooled(params, cfg, [s], kind, slots, keep_cache=True) for s in seqs]
     np.testing.assert_array_equal(y, np.concatenate([r[0] for r in rows]))
 
     dy = rng.normal(size=y.shape)
@@ -253,3 +256,35 @@ def test_batched_pooling_equals_row_by_row(toy_world, toy_vocab, kind, typed, ma
         batched = T.backward_pooled(state, only_row)
         alone = T.backward_pooled(row_state, dy[i : i + 1])
         np.testing.assert_array_equal(batched, alone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(pooling.ALL_KINDS),
+    typed=st.booleans(),
+    layers=st.integers(min_value=0, max_value=2),
+    max_len=st.integers(min_value=10, max_value=40),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_backward_cache_changes_no_output(toy_world, toy_vocab, kind, typed, layers, max_len,
+                                          seed):
+    """``encoder.forward`` gives the same bits with and without the backward
+    cache, and so does ``forward_pooled``; only a kept cache backpropagates."""
+    rng = np.random.default_rng(seed)
+    seqs = _mixed_batch(toy_world, toy_vocab, typed, max_len, rng)
+    cfg = EncoderConfig(dim=8, layers=layers, heads=2, ff_dim=16, max_len=max_len,
+                        vocab_size=len(toy_vocab))
+    params = init_params(cfg, seed)
+    ids, lens = np.stack([s.ids for s in seqs]), np.array([s.attn_len for s in seqs])
+    h, cache = encoder.forward(params, cfg, ids, lens, keep_cache=True)
+    bare_h, bare = encoder.forward(params, cfg, ids, lens)
+    assert np.array_equal(bare_h, h)
+    assert len(cache["layers"]) == layers and bare["layers"] is None
+
+    slots = shared_slot_count(typed)
+    y, state = T.forward_pooled(params, cfg, seqs, kind, slots, keep_cache=True)
+    bare_y, bare_state = T.forward_pooled(params, cfg, seqs, kind, slots)
+    assert np.array_equal(bare_y, y)
+    T.backward_pooled(state, y)
+    with pytest.raises(EncoderError, match="no cache"):
+        T.backward_pooled(bare_state, y)

@@ -14,6 +14,8 @@ where OUT lives):
 
 Two runs of one program give identical trees; ``diff -r`` between a run of
 one ``src/`` and a run of another shows whether a change kept every number.
+A change that reorders a sum moves last bits; ``tools/grid_diff.py`` compares
+such trees by ids, ranks, reports and losses instead.
 """
 
 from __future__ import annotations
