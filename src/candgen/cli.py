@@ -242,17 +242,18 @@ def _write_results_tsv(results: list[retrieval.RetrievalResult], path) -> None:
     significant digits; ``_read_results_tsv`` reads them back. An id that
     would not read back (one UTF-8 cannot encode, or one holding a TAB, CR or
     LF; an index header can carry either) is refused, naming it, before the
-    file is opened."""
-    for r in results:
-        for ident in (r.mention_id, *(eid for eid, _ in r.candidates)):
-            if any(c in ident for c in "\t\r\n"):
-                raise SystemExit(f"id {ident!r} holds a TAB, CR or LF; {path} is not written")
-            try:
-                ident.encode("utf-8")
-            except UnicodeEncodeError as e:
-                raise SystemExit(
-                    f"id {ident!r} cannot be encoded as UTF-8 ({e.reason}); {path} is not written"
-                ) from None
+    file is opened. Each distinct id is checked once, in first-use order."""
+    ids = dict.fromkeys(i for r in results
+                        for i in (r.mention_id, *(eid for eid, _ in r.candidates)))
+    for ident in ids:
+        if "\t" in ident or "\r" in ident or "\n" in ident:
+            raise SystemExit(f"id {ident!r} holds a TAB, CR or LF; {path} is not written")
+        try:
+            ident.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise SystemExit(
+                f"id {ident!r} cannot be encoded as UTF-8 ({e.reason}); {path} is not written"
+            ) from None
     with open(path, "w", encoding="utf-8") as f:
         for r in results:
             for rank, (eid, score) in enumerate(r.candidates, 1):

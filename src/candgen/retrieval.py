@@ -23,12 +23,13 @@ once the index is built.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifact, pooling
+from . import artifact, blas, pooling
 from .encoder import EncoderConfig
 from .templates import build_entity_sequence, shared_slot_count
 from .training import pooled
@@ -208,21 +209,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@blas.one_thread()
 def encode_chunked(seqs: list, encode, width: int) -> np.ndarray:
     """The (N, width) rows of ``encode`` over ``EMBED_CHUNK``-sized chunks of
-    ``seqs``, in input order, on T = ``min(usable CPUs, chunks)`` threads that
-    each take every T-th chunk. Each thread writes its chunks' rows straight
-    into the one (N, width) matrix allocated here, so none holds blocks for a
-    final concatenation. The calling thread is one of them, so one chunk starts
-    no thread and the pool adds T - 1 (each pool thread's allocations add to
-    peak memory). A row does not depend on its chunk: the rows are the same for
-    any T."""
+    ``seqs``, in input order, on T = ``min(usable CPUs, chunks)`` threads. Each
+    thread takes the next chunk not yet taken, so a thread whose CPU another
+    process holds takes fewer chunks instead of finishing last. Each writes
+    its chunks' rows straight into the one (N, width) matrix allocated here,
+    so none holds blocks for a final concatenation. The calling thread is one
+    of them, so one chunk starts no thread and the pool adds T - 1 (each pool
+    thread's allocations add to peak memory). OpenBLAS runs on one thread
+    meanwhile (``blas.one_thread``), so the pool is all the parallelism there
+    is. A row does not depend on its chunk: the rows are the same for any T."""
     out = np.empty((len(seqs), width))
-    starts = range(0, len(seqs), EMBED_CHUNK)
-    threads = max(1, min(_usable_cpus(), len(starts)))
+    chunks = range(0, len(seqs), EMBED_CHUNK)
+    threads = max(1, min(_usable_cpus(), len(chunks)))
+    starts, taking = iter(chunks), threading.Lock()
 
-    def run(t):
-        for i in starts[t::threads]:
+    def run(_):
+        while True:
+            with taking:
+                i = next(starts, None)
+            if i is None:
+                return
             out[i : i + EMBED_CHUNK] = encode(seqs[i : i + EMBED_CHUNK])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # T - 1 threads start

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoder, pooling
+from . import blas, encoder, pooling
 from .bpe import Vocabulary
 from .corpus import World
 from .encoder import EncoderConfig
@@ -175,13 +175,15 @@ def build_training_pairs(
     return mention_seqs, entity_seqs, gold_ids
 
 
+@blas.one_thread()
 def train(
     world: World,
     vocab: Vocabulary,
     enc_cfg: EncoderConfig,
     train_cfg: TrainConfig,
 ) -> TrainResult:
-    """Train both encoders on one world's gold mention-entity pairs."""
+    """Train both encoders on one world's gold mention-entity pairs, with
+    OpenBLAS on one thread (``blas.one_thread``)."""
     mention_seqs, entity_seqs, gold_ids = build_training_pairs(world, vocab, enc_cfg)
     if not mention_seqs:
         raise TrainingError("no training mentions")

@@ -1,0 +1,84 @@
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from candgen import blas
+from candgen import retrieval as R
+from candgen import training as T
+from candgen.encoder import EncoderConfig
+
+pytestmark = pytest.mark.skipif(blas._openblas() is None,
+                                reason="numpy is not linked against a loadable OpenBLAS")
+
+
+def _threads():
+    return blas._openblas()[0]()
+
+
+def test_one_thread_holds_and_restores():
+    before = _threads()
+    with blas.one_thread():
+        assert _threads() == 1
+        with blas.one_thread():
+            assert _threads() == 1
+        assert _threads() == 1  # the outer block still holds it
+    assert _threads() == before
+    with pytest.raises(ZeroDivisionError):
+        with blas.one_thread():
+            1 / 0
+    assert _threads() == before
+
+
+def test_one_thread_concurrent_blocks_restore_once():
+    """Eight threads entering and leaving blocks at random switch points:
+    each always sees one thread, and the count is back once all are out."""
+    before, seen = _threads(), []
+
+    def worker():
+        for _ in range(200):
+            with blas.one_thread():
+                seen.append(_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == 8 * 200 and set(seen) == {1}
+    assert _threads() == before
+
+
+def test_encode_chunked_and_train_run_on_one_blas_thread(toy_world, toy_vocab, monkeypatch):
+    """Every encode thread and every training step sees one BLAS thread; the
+    caller's count is back afterwards."""
+    before = _threads()
+    monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
+    seen = []
+
+    def encode(chunk):
+        seen.append(_threads())
+        return np.zeros((len(chunk), 3))
+
+    R.encode_chunked(list(range(3 * R.EMBED_CHUNK)), encode, 3)
+    assert seen == [1, 1, 1] and _threads() == before
+
+    seen.clear()
+    step = T.batch_loss_and_grads
+
+    def counted(*args):
+        seen.append(_threads())
+        return step(*args)
+
+    monkeypatch.setattr(T, "batch_loss_and_grads", counted)
+    cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
+                        vocab_size=len(toy_vocab))
+    T.train(toy_world, toy_vocab, cfg, T.TrainConfig(epochs=1, learning_rate=1e-3, seed=5))
+    assert seen and set(seen) == {1} and _threads() == before
