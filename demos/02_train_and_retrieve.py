@@ -9,7 +9,7 @@ Run with:  python3 demos/02_train_and_retrieve.py
 
 from candgen import evaluation, retrieval, synthetic, training
 from candgen.encoder import EncoderConfig
-from candgen.templates import build_mention_sequence, shared_slot_count
+from candgen.templates import build_mention_sequence
 
 # ---------------------------------------------------------------------------
 # 1. A corpus the model can actually learn
@@ -32,7 +32,7 @@ print(f"{len(world.entities)} entities, {len(world.mentions)} mentions, "
 # trained, and every later stage reads it from there.
 enc_cfg = EncoderConfig(dim=64, layers=2, heads=2, ff_dim=256, max_len=32,
                         vocab_size=len(vocab), pooling_kind="conc_special")
-train_cfg = training.TrainConfig(epochs=30, learning_rate=2e-3)
+train_cfg = training.TrainConfig()  # 30 epochs at learning rate 2e-3
 result = training.train(world, vocab, enc_cfg, train_cfg)
 print("first/last epoch:", result.log_lines[0], "|", result.log_lines[-1])
 
@@ -42,7 +42,6 @@ print("first/last epoch:", result.log_lines[0], "|", result.log_lines[-1])
 # Entity vectors do not depend on the query, so the index is built a single
 # time and reused for every mention (and for every metric).
 
-slots = shared_slot_count(False)
 index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab)
 
 mention_seqs = [
@@ -50,8 +49,7 @@ mention_seqs = [
                            enc_cfg.max_len)
     for m in world.mentions
 ]
-ys, _ = training.forward_pooled(result.params_m, enc_cfg, mention_seqs,
-                                enc_cfg.pooling_kind, slots)
+ys, _ = training.forward_pooled(result.params_m, enc_cfg, mention_seqs)
 results = [retrieval.top_k(index, ys[i], 5, retrieval.DOT, m.mention_id)
            for i, m in enumerate(world.mentions)]
 

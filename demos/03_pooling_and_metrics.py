@@ -11,7 +11,7 @@ from dataclasses import replace
 
 from candgen import evaluation, pooling, retrieval, synthetic, training
 from candgen.encoder import EncoderConfig
-from candgen.templates import build_mention_sequence, shared_slot_count
+from candgen.templates import build_mention_sequence
 
 world = synthetic.make_toy_world(n_entities=20, n_mentions=50, seed=0)
 vocab = synthetic.toy_vocabulary(world)
@@ -19,7 +19,6 @@ gold = {m.mention_id: m.gold_entity_id for m in world.mentions}
 
 enc_cfg = EncoderConfig(dim=32, layers=1, heads=2, ff_dim=128, max_len=16,
                         vocab_size=len(vocab))
-slots = shared_slot_count(False)
 
 mention_seqs = [
     build_mention_sequence(m, world.documents[m.context_document_id], vocab,
@@ -28,13 +27,12 @@ mention_seqs = [
 ]
 
 print(f"{'pooling':<14}{'dot':>8}{'cosine':>8}{'euclid':>8}   (accuracy@1)")
-train_cfg = training.TrainConfig(epochs=20, learning_rate=2e-3)
+train_cfg = training.TrainConfig(epochs=20)
 for kind in pooling.ALL_KINDS:
     cfg = replace(enc_cfg, pooling_kind=kind)  # one model per pooling
     result = training.train(world, vocab, cfg, train_cfg)
     index = retrieval.build_index(world.entities, result.params_e, cfg, vocab)
-    ys, _ = training.forward_pooled(result.params_m, cfg, mention_seqs,
-                                    kind, slots)
+    ys, _ = training.forward_pooled(result.params_m, cfg, mention_seqs)
     row = [kind]
     for metric in retrieval.ALL_METRICS:
         results = [retrieval.top_k(index, ys[i], 1, metric, m.mention_id)

@@ -45,7 +45,8 @@ def _openblas():
     """The (get, set) thread-count functions of the OpenBLAS this process
     loaded, or None."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
+        # a mapped path need not be UTF-8; its bytes only have to reach CDLL
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as f:
             paths = sorted({line.split()[-1] for line in f
                             if "openblas" in line and "/" in line})
     except OSError:
@@ -53,7 +54,7 @@ def _openblas():
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
-        except OSError:
+        except (OSError, UnicodeDecodeError):  # ctypes decodes dlerror's text as UTF-8
             continue
         for get_name, set_name in _SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)

@@ -30,8 +30,8 @@ from .corpus import (
     validate_spans,
 )
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
-from .templates import build_mention_sequence, shared_slot_count
-from .training import TrainConfig, forward_pooled
+from .templates import build_mention_sequence
+from .training import TrainConfig, forward_pooled, pooled_width
 
 
 def _sha256(path) -> str:
@@ -42,10 +42,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, subcommand: str, options: dict, inputs: list):
-    lines = [f"subcommand={subcommand}"]
-    for key in sorted(options):
-        lines.append(f"{key}={options[key]}")
+def _write_manifest(path, options: dict, inputs: list):
+    lines = [f"{key}={options[key]}" for key in sorted(options)]
     for p in sorted(str(p) for p in inputs):
         lines.append(f"sha256:{p}={_sha256(p)}")
     with open(path, "w", encoding="utf-8") as f:
@@ -139,15 +137,13 @@ def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
 def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg):
     """Pooled mention vectors under ``enc_cfg``'s pooling and entity-type mode,
     one row per mention (``retrieval.encode_chunked``)."""
-    typed, kind = enc_cfg.use_entity_type, enc_cfg.pooling_kind
     seqs = [
-        build_mention_sequence(m, documents[m.context_document_id], vocab, enc_cfg.max_len, typed)
+        build_mention_sequence(m, documents[m.context_document_id], vocab, enc_cfg.max_len,
+                               enc_cfg.use_entity_type)
         for m in mentions
     ]
-    slots = shared_slot_count(typed)
     return retrieval.encode_chunked(
-        seqs, lambda c: forward_pooled(params_m, enc_cfg, c, kind, slots)[0],
-        pooling.pooled_dim(kind, enc_cfg.dim, slots),
+        seqs, lambda c: forward_pooled(params_m, enc_cfg, c)[0], pooled_width(enc_cfg)
     )
 
 
@@ -172,9 +168,7 @@ def cmd_train_bpe(args):
             texts.extend(line for _, line in text_lines(path, CorpusParseError))
     vocab = train_bpe(texts, args.vocab_size)
     vocab.save(args.out + ".vocab", args.out + ".merges")
-    _write_manifest(
-        args.out + ".manifest", "train-bpe", _effective_options(args), args.input
-    )
+    _write_manifest(args.out + ".manifest", _effective_options(args), args.input)
     print(f"trained vocabulary of {len(vocab)} tokens -> {args.out}.vocab")
     return 0
 
@@ -192,7 +186,7 @@ def cmd_train(args):
     with open(os.path.join(args.out, "train.log"), "w", encoding="utf-8") as f:
         f.write("\n".join(result.log_lines) + "\n")
     _write_manifest(
-        os.path.join(args.out, "manifest"), "train", _effective_options(args),
+        os.path.join(args.out, "manifest"), _effective_options(args),
         _inputs(args, args.entities, args.mentions),
     )
     print(f"trained {args.epochs} epochs -> {args.out}")
@@ -208,7 +202,7 @@ def cmd_embed(args):
     index = retrieval.build_index(entities, params_e, enc_cfg, vocab)
     retrieval.save_index(index, args.out)
     _write_manifest(
-        args.out + ".manifest", "embed", _effective_options(args),
+        args.out + ".manifest", _effective_options(args),
         _inputs(args, args.entities, args.checkpoint),
     )
     print(f"embedded {len(index.entity_ids)} entities -> {args.out}.mat")
@@ -229,7 +223,7 @@ def cmd_retrieve(args):
     results = _retrieve(index, mentions, ys, args.k, args.metric)
     _write_results_tsv(results, args.out)
     _write_manifest(
-        args.out + ".manifest", "retrieve",
+        args.out + ".manifest",
         {**_effective_options(args), "results_sha256": _sha256(args.out)},
         _inputs(args, args.mentions, args.documents, args.checkpoint, args.index + ".mat"),
     )
@@ -239,21 +233,9 @@ def cmd_retrieve(args):
 
 def _write_results_tsv(results: list[retrieval.RetrievalResult], path) -> None:
     """``mention_id<TAB>rank<TAB>entity_id<TAB>score`` lines, the score to 12
-    significant digits; ``_read_results_tsv`` reads them back. An id that
-    would not read back (one UTF-8 cannot encode, or one holding a TAB, CR or
-    LF; an index header can carry either) is refused, naming it, before the
-    file is opened. Each distinct id is checked once, in first-use order."""
-    ids = dict.fromkeys(i for r in results
-                        for i in (r.mention_id, *(eid for eid, _ in r.candidates)))
-    for ident in ids:
-        if "\t" in ident or "\r" in ident or "\n" in ident:
-            raise SystemExit(f"id {ident!r} holds a TAB, CR or LF; {path} is not written")
-        try:
-            ident.encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise SystemExit(
-                f"id {ident!r} cannot be encoded as UTF-8 ({e.reason}); {path} is not written"
-            ) from None
+    significant digits; ``_read_results_tsv`` reads them back. Every id reads
+    back: the corpus reader refuses a mention id, and the index an entity id,
+    that holds a TAB, CR or LF or that UTF-8 cannot encode."""
     with open(path, "w", encoding="utf-8") as f:
         for r in results:
             for rank, (eid, score) in enumerate(r.candidates, 1):
@@ -321,8 +303,7 @@ def cmd_eval(args):
     report = evaluation.build_report(results, gold, worlds, ks, metric=args.metric)
     evaluation.write_report(report, args.out + ".report", args.out + ".curve")
     _write_manifest(
-        args.out + ".manifest", "eval", _effective_options(args),
-        [args.results, args.mentions],
+        args.out + ".manifest", _effective_options(args), [args.results, args.mentions]
     )
     for k, acc in report.curve():
         print(f"accuracy@{k}\t{acc:.6f}")
@@ -371,8 +352,8 @@ def cmd_experiment(args):
         for kind, types, metric, acc1, acck in rows:
             f.write(f"{kind}\t{types}\t{metric}\t{acc1:.6f}\t{acck:.6f}\n")
     _write_manifest(
-        os.path.join(args.out, "manifest"), "experiment",
-        _effective_options(args), _inputs(args, args.entities, args.mentions),
+        os.path.join(args.out, "manifest"), _effective_options(args),
+        _inputs(args, args.entities, args.mentions),
     )
     print(f"wrote {len(rows)} comparison rows -> {table_path}")
     return 0
@@ -382,19 +363,19 @@ def cmd_experiment(args):
 
 
 def _add_model_flags(p):
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--ff-dim", type=int, default=256)
-    p.add_argument("--max-len", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=EncoderConfig.dim)
+    p.add_argument("--layers", type=int, default=EncoderConfig.layers)
+    p.add_argument("--heads", type=int, default=EncoderConfig.heads)
+    p.add_argument("--ff-dim", type=int, default=EncoderConfig.ff_dim)
+    p.add_argument("--max-len", type=int, default=EncoderConfig.max_len)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--weight-decay", type=float, default=0.01)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--documents", help="context documents file (default: --entities)")
     p.add_argument("--vocab", required=True, help="vocabulary file prefix")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=pooling.CLS)
+    p.add_argument("--pooling", choices=pooling.ALL_KINDS, default=EncoderConfig.pooling_kind)
     p.add_argument("--entity-types", default="off", help="annotation file or 'off'")
     _add_model_flags(p)
     _add_train_flags(p)

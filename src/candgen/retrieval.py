@@ -31,8 +31,8 @@ import numpy as np
 
 from . import artifact, blas, pooling
 from .encoder import EncoderConfig
-from .templates import build_entity_sequence, shared_slot_count
-from .training import pooled
+from .templates import build_entity_sequence
+from .training import forward_pooled, pooled_width
 
 DOT = "dot"
 COSINE = "cosine"
@@ -46,15 +46,33 @@ class RetrievalError(ValueError):
     pass
 
 
-def _first_repeat(ids: list[str]) -> str | None:
-    if len(set(ids)) == len(ids):  # the common case, at half the cost of the loop
-        return None
+def _check_ids(ids: list[str]) -> None:
+    """Refuse an id that names more than one row, holds a TAB, CR or LF, or
+    cannot be encoded as UTF-8, so that every id can be written to a results
+    file and read back. Valid ids pass on the joined string alone; only
+    invalid ones are looked at one by one, to name the first bad one."""
+    joined = "\t".join(ids)
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError:
+        pass
+    else:
+        if (joined.count("\t") == len(ids) - 1 and "\r" not in joined
+                and "\n" not in joined and len(set(ids)) == len(ids)):
+            return
     seen: set[str] = set()
     for i in ids:
+        if "\t" in i or "\r" in i or "\n" in i:
+            raise RetrievalError(f"entity id {i!r} holds a TAB, CR or LF")
+        try:
+            i.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise RetrievalError(
+                f"entity id {i!r} cannot be encoded as UTF-8 ({e.reason})"
+            ) from None
         if i in seen:
-            return i
+            raise RetrievalError(f"entity id {i!r} names more than one row")
         seen.add(i)
-    return None
 
 
 @dataclass
@@ -73,9 +91,7 @@ class EmbeddingIndex:
         self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if len(self.entity_ids) != self.matrix.shape[0]:
             raise RetrievalError("entity ids not aligned with matrix rows")
-        repeated = _first_repeat(self.entity_ids)
-        if repeated is not None:
-            raise RetrievalError(f"entity id {repeated!r} names more than one row")
+        _check_ids(self.entity_ids)
         # min and max carry any NaN or infinity, with no (N, P) temporary: one
         # that size, once freed, raises glibc's dynamic mmap and trim thresholds,
         # and every later working set below them then stays resident.
@@ -105,23 +121,6 @@ class EmbeddingIndex:
 class RetrievalResult:
     mention_id: str
     candidates: list[tuple[str, float]]  # (entity_id, score), best first
-
-
-def similarity(a: np.ndarray, b: np.ndarray, metric: str) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise RetrievalError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if metric == DOT:
-        return float(a @ b)
-    if metric == COSINE:
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0.0 or nb == 0.0:
-            raise RetrievalError("cosine similarity undefined for a zero vector")
-        return float(a @ b / (na * nb))
-    if metric == EUCLIDEAN:
-        return float(np.linalg.norm(a - b))
-    raise RetrievalError(f"unknown metric {metric!r}")
 
 
 # Euclidean shortlist margin. The shortlist key is s_i = fl(n_i**2) -
@@ -224,15 +223,19 @@ def encode_chunked(seqs: list, encode, width: int) -> np.ndarray:
     out = np.empty((len(seqs), width))
     chunks = range(0, len(seqs), EMBED_CHUNK)
     threads = max(1, min(_usable_cpus(), len(chunks)))
-    starts, taking = iter(chunks), threading.Lock()
+    starts, taking, failed = iter(chunks), threading.Lock(), threading.Event()
 
     def run(_):
-        while True:
+        while not failed.is_set():
             with taking:
                 i = next(starts, None)
             if i is None:
                 return
-            out[i : i + EMBED_CHUNK] = encode(seqs[i : i + EMBED_CHUNK])
+            try:
+                out[i : i + EMBED_CHUNK] = encode(seqs[i : i + EMBED_CHUNK])
+            except BaseException:
+                failed.set()  # the other threads take no further chunk
+                raise
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # T - 1 threads start
         rest = pool.map(run, range(1, threads))
@@ -249,11 +252,10 @@ def build_index(entities, params_e: np.ndarray, enc_cfg: EncoderConfig, vocab) -
         raise RetrievalError("cannot build an index over an empty dictionary")
     seqs = [build_entity_sequence(e, vocab, enc_cfg.max_len, enc_cfg.use_entity_type)
             for e in entities]
-    width = pooling.pooled_dim(enc_cfg.pooling_kind, enc_cfg.dim,
-                               shared_slot_count(enc_cfg.use_entity_type))
     return EmbeddingIndex(
         entity_ids=[e.entity_id for e in entities],
-        matrix=encode_chunked(seqs, lambda c: pooled(params_e, enc_cfg, c)[0], width),
+        matrix=encode_chunked(seqs, lambda c: forward_pooled(params_e, enc_cfg, c)[0],
+                              pooled_width(enc_cfg)),
         pooling_kind=enc_cfg.pooling_kind,
         use_entity_type=enc_cfg.use_entity_type,
     )
@@ -276,9 +278,6 @@ def _value_count(header: dict) -> int:
     ids, width = header.get("ids"), header.get("width")
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise RetrievalError("index ids must be a list of strings")
-    repeated = _first_repeat(ids)
-    if repeated is not None:
-        raise RetrievalError(f"index id {repeated!r} is repeated")
     if header.get("pooling") not in pooling.ALL_KINDS:
         raise RetrievalError(f"unknown pooling {header.get('pooling')!r}")
     if not isinstance(header.get("use_entity_type"), bool):
@@ -289,7 +288,10 @@ def _value_count(header: dict) -> int:
 
 
 def load_index(prefix: str) -> EmbeddingIndex:
-    h, body = artifact.read(prefix + ".mat", _INDEX_MAGIC, "index", RetrievalError,
-                            _value_count)
-    return EmbeddingIndex(h["ids"], body.reshape(-1, h["width"]), h["pooling"],
-                          h["use_entity_type"])
+    path = prefix + ".mat"
+    h, body = artifact.read(path, _INDEX_MAGIC, "index", RetrievalError, _value_count)
+    try:
+        return EmbeddingIndex(h["ids"], body.reshape(-1, h["width"]), h["pooling"],
+                              h["use_entity_type"])
+    except RetrievalError as e:
+        raise RetrievalError(f"{path}: {e}") from None

@@ -35,8 +35,8 @@ class TrainingError(ValueError):
 @dataclass
 class TrainConfig:
     batch_size: int = 8
-    epochs: int = 5
-    learning_rate: float = 3e-5
+    epochs: int = 30
+    learning_rate: float = 2e-3
     weight_decay: float = 0.01
     seed: int = 0
 
@@ -103,16 +103,20 @@ def forward_pooled(
     params: np.ndarray,
     enc_cfg: EncoderConfig,
     seqs: list[TokenSequence],
-    kind: str,
+    kind: str | None = None,
     slot_count: int | None = None,
     *,
     keep_cache: bool = False,
 ):
-    """Encode a batch of sequences and pool each to a vector.
+    """Encode a batch of sequences and pool each to a vector, under
+    ``enc_cfg``'s pooling padded to the slot budget of its entity-type mode,
+    or under ``kind`` and ``slot_count`` when they are given.
 
     Returns (Y, state) with Y of shape (B, P); state feeds backward_pooled
     when the encoder ran with ``keep_cache=True``.
     """
+    if kind is None:
+        kind, slot_count = enc_cfg.pooling_kind, shared_slot_count(enc_cfg.use_entity_type)
     ids = np.stack([s.ids for s in seqs])
     lens = np.array([s.attn_len for s in seqs])
     h, cache = encoder.forward(params, enc_cfg, ids, lens, keep_cache=keep_cache)
@@ -122,13 +126,10 @@ def forward_pooled(
     return y, dict(cache=cache, weights=weights)
 
 
-def pooled(params: np.ndarray, enc_cfg: EncoderConfig, seqs: list[TokenSequence],
-           *, keep_cache: bool = False):
-    """``forward_pooled`` under ``enc_cfg``'s pooling, padded to the slot
-    budget of its entity-type mode."""
-    slots = shared_slot_count(enc_cfg.use_entity_type)
-    return forward_pooled(params, enc_cfg, seqs, enc_cfg.pooling_kind, slots,
-                          keep_cache=keep_cache)
+def pooled_width(enc_cfg: EncoderConfig) -> int:
+    """The width of the rows ``forward_pooled`` gives under ``enc_cfg``."""
+    return pooling.pooled_dim(enc_cfg.pooling_kind, enc_cfg.dim,
+                              shared_slot_count(enc_cfg.use_entity_type))
 
 
 def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
@@ -138,8 +139,8 @@ def backward_pooled(state: dict, dY: np.ndarray) -> np.ndarray:
 def batch_loss_and_grads(params_m, params_e, enc_cfg, mention_seqs, entity_seqs):
     """Full pipeline loss for one batch of gold pairs, plus both flat gradients.
     Both towers share ``enc_cfg``, their architecture and pooling."""
-    ym, state_m = pooled(params_m, enc_cfg, mention_seqs, keep_cache=True)
-    ye, state_e = pooled(params_e, enc_cfg, entity_seqs, keep_cache=True)
+    ym, state_m = forward_pooled(params_m, enc_cfg, mention_seqs, keep_cache=True)
+    ye, state_e = forward_pooled(params_e, enc_cfg, entity_seqs, keep_cache=True)
     loss, dscores = inbatch_loss(ym @ ye.T)
     grads_m = backward_pooled(state_m, dscores @ ye)
     grads_e = backward_pooled(state_e, dscores.T @ ym)
@@ -247,8 +248,8 @@ def gradient_check(
     """
 
     def total_loss():
-        ym, _ = pooled(params_m, enc_cfg, mention_seqs)
-        ye, _ = pooled(params_e, enc_cfg, entity_seqs)
+        ym, _ = forward_pooled(params_m, enc_cfg, mention_seqs)
+        ye, _ = forward_pooled(params_e, enc_cfg, entity_seqs)
         return inbatch_loss(ym @ ye.T)[0]
 
     _, grads_m, grads_e = batch_loss_and_grads(

@@ -23,6 +23,7 @@ from candgen.templates import (
     build_mention_sequence,
     shared_slot_count,
 )
+from row_scores import similarity
 
 
 def _announce(capsys, num, label, ok):
@@ -76,7 +77,7 @@ def test_criterion_2_retrieval_oracle_equivalence(capsys):
             for metric in retrieval.ALL_METRICS:
                 got = [e for e, _ in retrieval.top_k(index, q, k, metric).candidates]
                 scored = [
-                    (eid, retrieval.similarity(row, q, metric))
+                    (eid, similarity(row, q, metric))
                     for eid, row in zip(ids, matrix)
                 ]
                 reverse = metric != retrieval.EUCLIDEAN

@@ -1,3 +1,4 @@
+import builtins
 import sys
 import threading
 
@@ -9,14 +10,15 @@ from candgen import retrieval as R
 from candgen import training as T
 from candgen.encoder import EncoderConfig
 
-pytestmark = pytest.mark.skipif(blas._openblas() is None,
-                                reason="numpy is not linked against a loadable OpenBLAS")
+needs_openblas = pytest.mark.skipif(blas._openblas() is None,
+                                    reason="numpy is not linked against a loadable OpenBLAS")
 
 
 def _threads():
     return blas._openblas()[0]()
 
 
+@needs_openblas
 def test_one_thread_holds_and_restores():
     before = _threads()
     with blas.one_thread():
@@ -31,6 +33,7 @@ def test_one_thread_holds_and_restores():
     assert _threads() == before
 
 
+@needs_openblas
 def test_one_thread_concurrent_blocks_restore_once():
     """Eight threads entering and leaving blocks at random switch points:
     each always sees one thread, and the count is back once all are out."""
@@ -56,6 +59,7 @@ def test_one_thread_concurrent_blocks_restore_once():
     assert _threads() == before
 
 
+@needs_openblas
 def test_encode_chunked_and_train_run_on_one_blas_thread(toy_world, toy_vocab, monkeypatch):
     """Every encode thread and every training step sees one BLAS thread; the
     caller's count is back afterwards."""
@@ -82,3 +86,20 @@ def test_encode_chunked_and_train_run_on_one_blas_thread(toy_world, toy_vocab, m
                         vocab_size=len(toy_vocab))
     T.train(toy_world, toy_vocab, cfg, T.TrainConfig(epochs=1, learning_rate=1e-3, seed=5))
     assert seen and set(seen) == {1} and _threads() == before
+
+
+def test_a_mapped_path_that_is_not_utf8_is_no_error(tmp_path, monkeypatch):
+    """A maps line whose path holds byte 0xff names no loadable OpenBLAS;
+    the search goes on, and a block still runs."""
+    maps = tmp_path / "maps"
+    maps.write_bytes(b"7f00-7f01 r-xp 00000000 08:01 42 /opt/\xff/libopenblas.so\n")
+    monkeypatch.setattr(blas, "open", lambda path, *a, **kw: builtins.open(maps, *a, **kw),
+                        raising=False)
+    blas._openblas.cache_clear()
+    try:
+        assert blas._openblas() is None
+        with blas.one_thread():
+            pass
+    finally:
+        monkeypatch.undo()
+        blas._openblas.cache_clear()

@@ -1,7 +1,6 @@
 import filecmp
 import json
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -9,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candgen import pooling, retrieval, synthetic
-from candgen.cli import _read_results_tsv, _write_results_tsv, main
-from candgen.encoder import load_checkpoint
+from candgen.cli import _read_results_tsv, _write_results_tsv, build_parser, main
+from candgen.encoder import EncoderConfig, load_checkpoint
+from candgen.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,38 @@ def test_pipeline_artifacts_exist(pipeline):
     assert os.path.exists(pipeline["index"] + ".mat")
     assert os.path.exists(os.path.join(pipeline["model"], "train.log"))
     assert os.path.exists(pipeline["results"] + ".manifest")
+
+
+@pytest.mark.parametrize("subcommand", ["train", "experiment"])
+def test_model_and_training_flags_default_to_the_configs(subcommand):
+    args = build_parser().parse_args([subcommand, "--entities", "e", "--mentions", "m",
+                                      "--vocab", "v", "--entity-types", "t", "--out", "o"])
+    assert EncoderConfig(dim=args.dim, layers=args.layers, heads=args.heads,
+                         ff_dim=args.ff_dim, max_len=args.max_len, vocab_size=1) == \
+        EncoderConfig(vocab_size=1)
+    assert TrainConfig(batch_size=args.batch_size, epochs=args.epochs, learning_rate=args.lr,
+                       weight_decay=args.weight_decay, seed=args.seed) == TrainConfig()
+    if subcommand == "train":
+        assert args.pooling == EncoderConfig.pooling_kind
+
+
+def test_each_manifest_records_its_subcommand_once(pipeline, toy_files, tmp_path):
+    run(["eval", "--results", pipeline["results"], "--mentions", toy_files["mentions"],
+         "--ks", "1,5", "--out", str(tmp_path / "eval")])
+    assert _experiment(toy_files, tmp_path, "--entity-types", toy_files["types"],
+                       "--k", "3") == 0
+    manifests = {
+        "train-bpe": pipeline["vocab"] + ".manifest",
+        "train": os.path.join(pipeline["model"], "manifest"),
+        "embed": pipeline["index"] + ".manifest",
+        "retrieve": pipeline["results"] + ".manifest",
+        "eval": tmp_path / "eval.manifest",
+        "experiment": tmp_path / "exp" / "manifest",
+    }
+    for subcommand, path in manifests.items():
+        lines = Path(path).read_text().splitlines()
+        assert [line for line in lines if line.startswith("subcommand=")] == \
+            [f"subcommand={subcommand}"], path
 
 
 def test_eval_matches_module_oracle(pipeline, toy_files):
@@ -177,14 +209,6 @@ def test_os_errors_are_reported_not_raised(pipeline, toy_files, tmp_path, capsys
     assert not os.path.exists(tmp_path / "eval.report")
 
 
-def _utf8_encodable(text: str) -> bool:
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 @pytest.mark.parametrize("bad_id", ["e\tx", "e\rx", "e\nx", "e\ud800"])
 def test_retrieve_refuses_an_index_id_it_cannot_write(pipeline, toy_files, tmp_path, capsys,
                                                       bad_id):
@@ -203,7 +227,7 @@ def test_retrieve_refuses_an_index_id_it_cannot_write(pipeline, toy_files, tmp_p
 
 
 _ODD_IDS = (st.sampled_from(["", "é\u4e2d", "\x85", "\u2028", "\x0b", "a b"])
-            | st.text(st.characters(exclude_characters="\t\r\n"), max_size=4))
+            | st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"), max_size=4))
 _ODD_SCORES = st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]) | st.floats(allow_nan=False)
 
 
@@ -212,20 +236,12 @@ _ODD_SCORES = st.sampled_from([-0.0, 5e-324, 2.5e-310, 1e308, -1e308]) | st.floa
     st.tuples(_ODD_IDS, st.lists(st.tuples(_ODD_IDS, _ODD_SCORES), min_size=1, max_size=4)),
     max_size=4, unique_by=lambda row: row[0],
 ))
-@example(rows=[("", [("\ud800", -0.0)])])  # a lone surrogate, as a JSON escape carries it
 def test_results_tsv_round_trip(tmp_path_factory, rows):
     """What retrieve writes, eval reads back: the same ids in the same rank
-    order, and each score as its 12-significant-digit text parses. An id that
-    UTF-8 cannot encode is refused by name, and no file is left behind."""
+    order, and each score as its 12-significant-digit text parses. The ids
+    are any that the corpus reader and the index accept."""
     path = tmp_path_factory.mktemp("results") / "results.tsv"
     results = [retrieval.RetrievalResult(mid, cands) for mid, cands in rows]
-    unwritable = [i for mid, cands in rows for i in (mid, *(eid for eid, _ in cands))
-                  if not _utf8_encodable(i)]
-    if unwritable:
-        with pytest.raises(SystemExit, match=re.escape(repr(unwritable[0]))):
-            _write_results_tsv(results, path)
-        assert not path.exists()
-        return
     _write_results_tsv(results, path)
     assert [(r.mention_id, [(eid, s.hex()) for eid, s in r.candidates])
             for r in _read_results_tsv(path)] == [

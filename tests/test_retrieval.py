@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,12 @@ from candgen import retrieval as R
 from candgen.encoder import EncoderConfig, init_params
 from candgen.templates import build_entity_sequence, build_mention_sequence, shared_slot_count
 from candgen.training import forward_pooled
+from row_scores import similarity
 
 
 def brute_force_pairs(ids, matrix, query, metric):
     """Independent full-sort oracle: every row scored on its own, ties by id."""
-    scored = [(eid, R.similarity(row, query, metric)) for eid, row in zip(ids, matrix)]
+    scored = [(eid, similarity(row, query, metric)) for eid, row in zip(ids, matrix)]
     reverse = metric != R.EUCLIDEAN
     scored.sort(key=lambda t: ((-t[1] if reverse else t[1]), t[0]))
     return scored
@@ -52,15 +54,15 @@ def make_index(rng, n=50, p=8):
 
 
 def test_similarity_examples():
-    assert R.similarity([1, 0], [0, 1], R.COSINE) == 0.0
-    assert R.similarity([1, 2], [3, 4], R.DOT) == 11.0
-    assert R.similarity([0, 0], [3, 4], R.EUCLIDEAN) == 5.0
+    assert similarity([1, 0], [0, 1], R.COSINE) == 0.0
+    assert similarity([1, 2], [3, 4], R.DOT) == 11.0
+    assert similarity([0, 0], [3, 4], R.EUCLIDEAN) == 5.0
     with pytest.raises(R.RetrievalError):
-        R.similarity([0, 0], [1, 1], R.COSINE)
+        similarity([0, 0], [1, 1], R.COSINE)
     with pytest.raises(R.RetrievalError):
-        R.similarity([1], [1, 2], R.DOT)
+        similarity([1], [1, 2], R.DOT)
     with pytest.raises(R.RetrievalError):
-        R.similarity([1], [1], "manhattan")
+        similarity([1], [1], "manhattan")
 
 
 def test_top_k_simple():
@@ -221,6 +223,24 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
         assert (index.pooling_kind, index.use_entity_type) == (kind, True)
 
 
+def test_encode_chunked_takes_no_chunk_after_a_failure(monkeypatch):
+    """Once the first of 40 chunks raises, the other thread finishes the
+    chunk it holds, and at most one it took meanwhile; the error comes out."""
+    monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
+    calls = []
+
+    def encode(chunk):
+        calls.append(chunk[0])
+        if chunk[0] == 0:
+            raise ZeroDivisionError
+        time.sleep(0.02)
+        return np.zeros((len(chunk), 1))
+
+    with pytest.raises(ZeroDivisionError):
+        R.encode_chunked(list(range(40 * R.EMBED_CHUNK)), encode, 1)
+    assert len(calls) <= 3, calls
+
+
 def test_index_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     index = make_index(rng, n=7, p=3)
@@ -234,7 +254,7 @@ def test_index_save_load_round_trip(tmp_path):
     assert (loaded.pooling_kind, loaded.use_entity_type) == ("avg", False)
 
 
-_ODD_IDS = ["", "\n", "\r", "\t", "é\u4e2d\U0001f600", "a\nb"]
+_ODD_IDS = ["", "\x85", "\u2028", "\x0b", "é\u4e2d\U0001f600", "a b"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,7 +263,8 @@ _ODD_IDS = ["", "\n", "\r", "\t", "é\u4e2d\U0001f600", "a\nb"]
     p=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
     specials=st.lists(st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308]), max_size=6),
-    text_ids=st.lists(st.text(), max_size=30, unique=True),
+    text_ids=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n")), max_size=30,
+                      unique=True),
     planted=st.lists(st.sampled_from(_ODD_IDS), max_size=3, unique=True),
     kind=st.sampled_from(pooling.ALL_KINDS),
     use_types=st.booleans(),
@@ -274,10 +295,14 @@ def _index_with_header(header, body):
     return R._INDEX_MAGIC + struct.pack("<Q", len(text)) + text + body
 
 
+# ids that a results file could not hold, each refused by name where the index enters
+_UNWRITABLE_IDS = {"tab_id": "e\tx", "cr_id": "e\rx", "lf_id": "e\nx", "surrogate_id": "e\ud800"}
+
+
 @pytest.mark.parametrize("case", [
     "long_body", "short_body", "cut_header", "cut_length", "bad_magic", "parent_format",
     "not_utf8", "too_deep", "ids_not_strings", "ids_not_list", "unknown_pooling", "types_not_bool",
-    "width_zero", "width_float", "missing_key", "repeated_id",
+    "width_zero", "width_float", "missing_key", "repeated_id", *_UNWRITABLE_IDS,
 ])
 def test_load_index_refuses_bad_files(tmp_path, case):
     index = make_index(np.random.default_rng(20), n=4, p=3)
@@ -322,6 +347,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
             del header["pooling"]
         elif case == "repeated_id":
             header["ids"][3] = header["ids"][1]
+        elif case in _UNWRITABLE_IDS:
+            header["ids"][2] = _UNWRITABLE_IDS[case]
         raw = _index_with_header(header, body)
     with open(prefix + ".mat", "wb") as f:
         f.write(raw)
@@ -331,6 +358,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
         assert "embed" in str(err.value)
     if case == "repeated_id":
         assert repr(header["ids"][1]) in str(err.value)
+    if case in _UNWRITABLE_IDS:
+        assert repr(_UNWRITABLE_IDS[case]) in str(err.value)
 
 
 def test_misaligned_index_rejected():
