@@ -323,9 +323,9 @@ def cmd_experiment(args):
     if args.seeds < 1:
         raise SystemExit(f"--seeds {args.seeds} must be at least 1")
     vocab = Vocabulary.load(*_vocab_files(args))
-    worlds = {use_types: _load_world(args, types_file if use_types else None)
-              for use_types in (False, True)}
-    _check_k(args.k, len(worlds[False].entities))
+    world = _load_world(args, None)
+    worlds = {False: world, True: _typed(world, types_file)}
+    _check_k(args.k, len(world.entities))
     rows = []
     for use_types, world in worlds.items():
         gold = {m.mention_id: m.gold_entity_id for m in world.mentions}

@@ -14,10 +14,6 @@ but carries rounding error; the shortlist is widened by a proven bound on
 that error (see ``_euclidean_margin``) and its rows are rescored with the
 exact ``norm(m - q)``. Every returned score has the same bits as a full
 scan with ``m @ q``, ``(m @ q) / (norms * |q|)`` or ``norm(m - q, axis=1)``.
-
-Row norms, used by cosine and euclidean, are computed on first use and
-memoised on the ``EmbeddingIndex``, so its ``matrix`` must not be changed
-once the index is built.
 """
 
 from __future__ import annotations
@@ -39,14 +35,13 @@ COSINE = "cosine"
 EUCLIDEAN = "euclidean"
 ALL_METRICS = (DOT, COSINE, EUCLIDEAN)
 EMBED_CHUNK = 32  # sequences per encoder forward pass, and per thread in flight
-NORM_BLOCK = 2048  # rows per block when computing the memoised row norms
 
 
 class RetrievalError(ValueError):
     pass
 
 
-def _check_ids(ids: list[str]) -> None:
+def _check_ids(ids: tuple[str, ...]) -> None:
     """Refuse an id that names more than one row, holds a TAB, CR or LF, or
     cannot be encoded as UTF-8, so that every id can be written to a results
     file and read back. Valid ids pass on the joined string alone; only
@@ -75,9 +70,14 @@ def _check_ids(ids: list[str]) -> None:
         seen.add(i)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingIndex:
-    entity_ids: list[str]
+    """Row i of ``matrix`` embeds entity ``entity_ids[i]``. The constructor is
+    the one check of a valid index, and an index cannot be changed: the ids
+    are a tuple, and the matrix (not copied if already C-ordered float64) is
+    made read-only, so the memoised row norms always fit its rows."""
+
+    entity_ids: tuple[str, ...]
     matrix: np.ndarray  # (N, P)
     pooling_kind: str = pooling.CLS
     use_entity_type: bool = False
@@ -88,32 +88,34 @@ class EmbeddingIndex:
     def __post_init__(self):
         # C order keeps each row's reduction in norm(m[rows] - q, axis=1) the
         # same as in a full scan, so rescored scores match it bit for bit.
-        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if len(self.entity_ids) != self.matrix.shape[0]:
+        ids, matrix = tuple(self.entity_ids), np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if len(ids) != matrix.shape[0]:
             raise RetrievalError("entity ids not aligned with matrix rows")
-        _check_ids(self.entity_ids)
+        _check_ids(ids)
+        if self.pooling_kind not in pooling.ALL_KINDS:
+            raise RetrievalError(f"unknown pooling {self.pooling_kind!r}")
+        if not isinstance(self.use_entity_type, bool):
+            raise RetrievalError("use_entity_type must be true or false")
         # min and max carry any NaN or infinity, with no (N, P) temporary: one
         # that size, once freed, raises glibc's dynamic mmap and trim thresholds,
         # and every later working set below them then stays resident.
-        if self.matrix.size and not np.isfinite([self.matrix.min(), self.matrix.max()]).all():
+        if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
             raise RetrievalError("non-finite embedding row")
-        order = sorted(range(len(self.entity_ids)), key=lambda i: self.entity_ids[i])
-        self._id_rank = np.empty(len(order), dtype=np.int64)
-        self._id_rank[order] = np.arange(len(order))
+        matrix.flags.writeable = False
+        id_rank = np.empty(len(ids), dtype=np.int64)
+        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        object.__setattr__(self, "entity_ids", ids)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_id_rank", id_rank)
 
     def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every row, computed on first use and kept.
-
-        Blocks of ``NORM_BLOCK`` rows give the same bits as one call over the
-        whole matrix without its (N, P) temporary.
-        """
+        """Euclidean norm of every row, computed on first use and kept
+        read-only: one einsum pass, with no (N, P) temporary, in which each
+        row's norm depends only on that row."""
         if self._norms is None:
-            m = self.matrix
-            self._norms = np.empty(m.shape[0])
-            for i in range(0, m.shape[0], NORM_BLOCK):
-                self._norms[i : i + NORM_BLOCK] = np.linalg.norm(
-                    m[i : i + NORM_BLOCK], axis=1
-                )
+            norms = np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix))
+            norms.flags.writeable = False
+            object.__setattr__(self, "_norms", norms)
         return self._norms
 
 
@@ -278,10 +280,6 @@ def _value_count(header: dict) -> int:
     ids, width = header.get("ids"), header.get("width")
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise RetrievalError("index ids must be a list of strings")
-    if header.get("pooling") not in pooling.ALL_KINDS:
-        raise RetrievalError(f"unknown pooling {header.get('pooling')!r}")
-    if not isinstance(header.get("use_entity_type"), bool):
-        raise RetrievalError("use_entity_type must be true or false")
     if type(width) is not int or width < 1:
         raise RetrievalError(f"index width {width!r} must be a positive integer")
     return len(ids) * width
@@ -291,7 +289,7 @@ def load_index(prefix: str) -> EmbeddingIndex:
     path = prefix + ".mat"
     h, body = artifact.read(path, _INDEX_MAGIC, "index", RetrievalError, _value_count)
     try:
-        return EmbeddingIndex(h["ids"], body.reshape(-1, h["width"]), h["pooling"],
-                              h["use_entity_type"])
+        return EmbeddingIndex(h["ids"], body.reshape(-1, h["width"]), h.get("pooling"),
+                              h.get("use_entity_type"))
     except RetrievalError as e:
         raise RetrievalError(f"{path}: {e}") from None

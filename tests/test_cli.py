@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candgen import pooling, retrieval, synthetic
+from candgen import cli, pooling, retrieval, synthetic
 from candgen.cli import _read_results_tsv, _write_results_tsv, build_parser, main
 from candgen.encoder import EncoderConfig, load_checkpoint
 from candgen.training import TrainConfig
@@ -212,15 +213,20 @@ def test_os_errors_are_reported_not_raised(pipeline, toy_files, tmp_path, capsys
 @pytest.mark.parametrize("bad_id", ["e\tx", "e\rx", "e\nx", "e\ud800"])
 def test_retrieve_refuses_an_index_id_it_cannot_write(pipeline, toy_files, tmp_path, capsys,
                                                       bad_id):
-    """``load_index`` takes any JSON string as an id, but the results file
-    could not hold this one: retrieve names it, exits 1 and writes nothing."""
-    index = retrieval.load_index(pipeline["index"])
-    index.entity_ids[3] = bad_id
+    """An index file whose header holds an id that the results file could
+    not hold: retrieve names the id, exits 1 and writes nothing."""
+    with open(pipeline["index"] + ".mat", "rb") as f:
+        raw = f.read()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    header["ids"][3] = bad_id
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
     prefix, out = str(tmp_path / "odd"), tmp_path / "results.tsv"
-    retrieval.save_index(index, prefix)
+    with open(prefix + ".mat", "wb") as f:
+        f.write(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen :])
     argv = _retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", out)
     argv[argv.index("--index") + 1] = prefix
-    argv[argv.index("--k") + 1] = str(len(index.entity_ids))  # every id is written
+    argv[argv.index("--k") + 1] = str(len(header["ids"]))  # every id is written
     assert main(argv) == 1
     assert repr(bad_id) in capsys.readouterr().err
     assert not out.exists() and not os.path.exists(f"{out}.manifest")
@@ -346,8 +352,7 @@ def test_retrieve_refuses_a_checkpoint_of_other_pooling_than_the_index(
 ):
     """Without --pooling, the mention checkpoint must still agree with the
     index: here a cls checkpoint meets an avg index, types on for both."""
-    index = retrieval.load_index(typed["index"])
-    index.pooling_kind = "avg"
+    index = replace(retrieval.load_index(typed["index"]), pooling_kind="avg")
     avg_index, out = str(tmp_path / "avg"), tmp_path / "results.tsv"
     retrieval.save_index(index, avg_index)
     checkpoint = os.path.join(typed["model"], "mention.ckpt")
@@ -608,6 +613,25 @@ def test_experiment_cell_trains_like_train(toy_files, tmp_path, monkeypatch):
                        "--k", "3", "--seeds", "1", *flags) == 0
     _, params_m = load_checkpoint(os.path.join(model, "mention.ckpt"))
     assert np.array_equal(trained[("cls", False)], params_m)
+
+
+def test_experiment_reads_its_world_once(toy_files, tmp_path, monkeypatch):
+    """Both types arms share one loaded and validated world, so the mentions
+    file is read once, before any training."""
+    from candgen import training
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    read, real_load = [], cli.load_mentions
+    monkeypatch.setattr(cli, "load_mentions", lambda path: read.append(path) or real_load(path))
+    monkeypatch.setattr(training, "train", stop)
+    with pytest.raises(Stop):
+        _experiment(toy_files, tmp_path, "--entity-types", toy_files["types"], "--k", "3")
+    assert read == [toy_files["mentions"]]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -3,7 +3,7 @@ import os
 import re
 import struct
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -31,12 +31,16 @@ def brute_force_top_k(ids, matrix, query, k, metric):
     return [eid for eid, _ in brute_force_pairs(ids, matrix, query, metric)[:k]]
 
 
+def einsum_norms(matrix):
+    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+
+
 def full_scan_scores(matrix, query, metric):
     """Every row's score as one scan over the whole matrix computes it."""
     if metric == R.DOT:
         return matrix @ query
     if metric == R.COSINE:
-        return (matrix @ query) / (np.linalg.norm(matrix, axis=1) * np.linalg.norm(query))
+        return (matrix @ query) / (einsum_norms(matrix) * np.linalg.norm(query))
     return np.linalg.norm(matrix - query, axis=1)
 
 
@@ -169,7 +173,7 @@ def test_build_index_shapes_and_determinism(toy_world, toy_vocab):
     assert i1.matrix.shape == (3, 16)
     i2 = R.build_index(toy_world.entities[:3], params, cfg, toy_vocab)
     np.testing.assert_array_equal(i1.matrix, i2.matrix)
-    assert i1.entity_ids == [e.entity_id for e in toy_world.entities[:3]]
+    assert i1.entity_ids == tuple(e.entity_id for e in toy_world.entities[:3])
 
 
 def test_build_index_conc_special_padded_slots(toy_world, toy_vocab):
@@ -243,8 +247,7 @@ def test_encode_chunked_takes_no_chunk_after_a_failure(monkeypatch):
 
 def test_index_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(15)
-    index = make_index(rng, n=7, p=3)
-    index.pooling_kind = "avg"
+    index = replace(make_index(rng, n=7, p=3), pooling_kind="avg")
     prefix = str(tmp_path / "idx")
     R.save_index(index, prefix)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["idx.mat"]
@@ -257,7 +260,7 @@ def test_index_save_load_round_trip(tmp_path):
 _ODD_IDS = ["", "\x85", "\u2028", "\x0b", "é\u4e2d\U0001f600", "a b"]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 30),
     p=st.integers(1, 8),
@@ -266,22 +269,29 @@ _ODD_IDS = ["", "\x85", "\u2028", "\x0b", "é\u4e2d\U0001f600", "a b"]
     text_ids=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n")), max_size=30,
                       unique=True),
     planted=st.lists(st.sampled_from(_ODD_IDS), max_size=3, unique=True),
-    kind=st.sampled_from(pooling.ALL_KINDS),
-    use_types=st.booleans(),
+    kind=st.sampled_from(pooling.ALL_KINDS) | st.sampled_from(["bogus", "CLS", "", None, 0]),
+    use_types=st.booleans() | st.sampled_from([0, 1, "yes", "true", None]),
 )
 def test_index_round_trip_property(
     tmp_path_factory, n, p, seed, specials, text_ids, planted, kind, use_types
 ):
+    """Every index the constructor accepts loads back unchanged; an unknown
+    pooling or a type mode that is not a bool is refused where it is made."""
     ids = list(dict.fromkeys(planted + text_ids))
     ids = (ids + [f"pad{i}" for i in range(n) if f"pad{i}" not in ids])[:n]
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-300, 300, size=(n, p))
     matrix.flat[rng.integers(0, n * p, size=len(specials))] = specials
+    if kind not in pooling.ALL_KINDS or not isinstance(use_types, bool):
+        with pytest.raises(R.RetrievalError, match="pooling|use_entity_type"):
+            R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
+        assert matrix.flags.writeable  # a refused matrix is left as it was
+        return
     index = R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
     prefix = str(tmp_path_factory.mktemp("idx") / "idx")
     R.save_index(index, prefix)
     loaded = R.load_index(prefix)
-    assert loaded.entity_ids == ids
+    assert loaded.entity_ids == tuple(ids)
     assert loaded.matrix.tobytes() == index.matrix.tobytes()  # -0.0 and subnormals too
     assert (loaded.pooling_kind, loaded.use_entity_type) == (kind, use_types)
     with open(prefix + ".mat", "rb") as f:
@@ -362,6 +372,38 @@ def test_load_index_refuses_bad_files(tmp_path, case):
         assert repr(_UNWRITABLE_IDS[case]) in str(err.value)
 
 
+def test_index_cannot_be_changed():
+    """The ids are a tuple and the matrix, kept without a copy, is read-only,
+    so neither the index nor its builder can move rows under the memoised
+    norms, and save_index always writes what load_index reads."""
+    matrix = np.array([[3.0, 4.0], [1.0, 0.0]])
+    index = R.EmbeddingIndex(["e1", "e2"], matrix)
+    assert index.matrix is matrix and not matrix.flags.writeable
+    with pytest.raises(TypeError):
+        index.entity_ids[0] = "e\tx"
+    with pytest.raises(ValueError, match="read-only"):
+        index.matrix[0, 0] = 10.0
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[1] = [10.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        index.row_norms()[1] = 0.1
+    with pytest.raises(FrozenInstanceError):
+        index.pooling_kind = "bogus"
+    assert R.top_k(index, np.array([1.0, 0.0]), 1, R.COSINE).candidates == [("e2", 1.0)]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pooling_kind", "bogus", "unknown pooling 'bogus'"),
+    ("use_entity_type", "yes", "use_entity_type must be true or false"),
+    ("use_entity_type", 1, "use_entity_type must be true or false"),
+])
+def test_index_refuses_unknown_pooling_and_non_bool_type_mode(field, value, message):
+    matrix = np.eye(2)
+    with pytest.raises(R.RetrievalError, match=message):
+        R.EmbeddingIndex(["e1", "e2"], matrix, **{field: value})
+    assert matrix.flags.writeable
+
+
 def test_misaligned_index_rejected():
     with pytest.raises(R.RetrievalError):
         R.EmbeddingIndex(["e1"], np.ones((2, 2)))
@@ -429,7 +471,7 @@ def test_top_k_equals_full_sort(seed, n, p, family):
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
 def test_scores_are_the_full_scan_bits(metric):
     rng = np.random.default_rng(16)
-    index = make_index(rng, n=R.NORM_BLOCK + 300, p=12)  # norms from two blocks
+    index = make_index(rng, n=2348, p=12)
     row = {eid: i for i, eid in enumerate(index.entity_ids)}
     for _ in range(3):
         q = rng.normal(size=12)
@@ -445,7 +487,7 @@ def test_row_norms_are_lazy_and_memoised():
     assert index._norms is None
     norms = index.row_norms()
     assert index.row_norms() is norms
-    np.testing.assert_array_equal(norms, np.linalg.norm(index.matrix, axis=1))
+    np.testing.assert_array_equal(norms, einsum_norms(index.matrix))
 
 
 def test_non_c_order_matrix_scored_like_c_order():
