@@ -73,9 +73,10 @@ def _check_ids(ids: tuple[str, ...]) -> None:
 @dataclass(frozen=True)
 class EmbeddingIndex:
     """Row i of ``matrix`` embeds entity ``entity_ids[i]``. The constructor is
-    the one check of a valid index, and an index cannot be changed: the ids
-    are a tuple, and the matrix (not copied if already C-ordered float64) is
-    made read-only, so the memoised row norms always fit its rows."""
+    the one check of a valid index, and the index cannot be changed through
+    its fields: the ids are a tuple, and the matrix (not copied if already
+    C-ordered float64) is made read-only. Writes through a writable array
+    that the given matrix is a view of are not prevented."""
 
     entity_ids: tuple[str, ...]
     matrix: np.ndarray  # (N, P)

@@ -1,7 +1,6 @@
 import filecmp
 import json
 import os
-import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +15,7 @@ from candgen import cli, pooling, retrieval, synthetic
 from candgen.cli import _read_results_tsv, _write_results_tsv, build_parser, main
 from candgen.encoder import EncoderConfig, load_checkpoint
 from candgen.training import TrainConfig
+from index_files import index_with_header, split_index
 
 
 @pytest.fixture(scope="module")
@@ -216,14 +216,11 @@ def test_retrieve_refuses_an_index_id_it_cannot_write(pipeline, toy_files, tmp_p
     """An index file whose header holds an id that the results file could
     not hold: retrieve names the id, exits 1 and writes nothing."""
     with open(pipeline["index"] + ".mat", "rb") as f:
-        raw = f.read()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + hlen])
+        header, body = split_index(f.read())
     header["ids"][3] = bad_id
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
     prefix, out = str(tmp_path / "odd"), tmp_path / "results.tsv"
     with open(prefix + ".mat", "wb") as f:
-        f.write(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen :])
+        f.write(index_with_header(header, body))
     argv = _retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", out)
     argv[argv.index("--index") + 1] = prefix
     argv[argv.index("--k") + 1] = str(len(header["ids"]))  # every id is written
@@ -304,9 +301,7 @@ def test_eval_report_states_only_what_it_knows(toy_files, typed, tmp_path):
     assert keys[:4] == ["mention_count", "metric", "accuracy@1", "accuracy@5"]
     assert not {"pooling", "entity_type"} & set(keys)
     with open(typed["index"] + ".mat", "rb") as f:
-        raw = f.read()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + hlen])
+        header, _ = split_index(f.read())
     assert sorted(header) == ["ids", "pooling", "use_entity_type", "width"]
     assert (header["pooling"], header["use_entity_type"]) == ("cls", True)
 

@@ -1,4 +1,3 @@
-import json
 import os
 import re
 import struct
@@ -15,6 +14,7 @@ from candgen import retrieval as R
 from candgen.encoder import EncoderConfig, init_params
 from candgen.templates import build_entity_sequence, build_mention_sequence, shared_slot_count
 from candgen.training import forward_pooled
+from index_files import index_with_header, split_index
 from row_scores import similarity
 
 
@@ -260,7 +260,7 @@ def test_index_save_load_round_trip(tmp_path):
 _ODD_IDS = ["", "\x85", "\u2028", "\x0b", "é\u4e2d\U0001f600", "a b"]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 30),
     p=st.integers(1, 8),
@@ -269,24 +269,28 @@ _ODD_IDS = ["", "\x85", "\u2028", "\x0b", "é\u4e2d\U0001f600", "a b"]
     text_ids=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n")), max_size=30,
                       unique=True),
     planted=st.lists(st.sampled_from(_ODD_IDS), max_size=3, unique=True),
-    kind=st.sampled_from(pooling.ALL_KINDS) | st.sampled_from(["bogus", "CLS", "", None, 0]),
-    use_types=st.booleans() | st.sampled_from([0, 1, "yes", "true", None]),
+    kind=st.sampled_from(pooling.ALL_KINDS),
+    use_types=st.booleans(),
+    bad_kind=(st.sampled_from(["CLS", "", None, 0])
+              | st.text().filter(lambda s: s not in pooling.ALL_KINDS)),
+    bad_types=st.sampled_from([0, 1, "true", None]) | st.integers() | st.text(),
 )
 def test_index_round_trip_property(
-    tmp_path_factory, n, p, seed, specials, text_ids, planted, kind, use_types
+    tmp_path_factory, n, p, seed, specials, text_ids, planted, kind, use_types, bad_kind,
+    bad_types,
 ):
-    """Every index the constructor accepts loads back unchanged; an unknown
-    pooling or a type mode that is not a bool is refused where it is made."""
+    """Every index loads back unchanged. The same ids and rows with an
+    unknown pooling, or a type mode that is not a bool, are refused where
+    the index is made, and the refused matrix is left writable."""
     ids = list(dict.fromkeys(planted + text_ids))
     ids = (ids + [f"pad{i}" for i in range(n) if f"pad{i}" not in ids])[:n]
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-300, 300, size=(n, p))
     matrix.flat[rng.integers(0, n * p, size=len(specials))] = specials
-    if kind not in pooling.ALL_KINDS or not isinstance(use_types, bool):
+    for bad in ({"pooling_kind": bad_kind}, {"use_entity_type": bad_types}):
         with pytest.raises(R.RetrievalError, match="pooling|use_entity_type"):
-            R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
-        assert matrix.flags.writeable  # a refused matrix is left as it was
-        return
+            R.EmbeddingIndex(ids, matrix, **bad)
+        assert matrix.flags.writeable
     index = R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
     prefix = str(tmp_path_factory.mktemp("idx") / "idx")
     R.save_index(index, prefix)
@@ -295,14 +299,7 @@ def test_index_round_trip_property(
     assert loaded.matrix.tobytes() == index.matrix.tobytes()  # -0.0 and subnormals too
     assert (loaded.pooling_kind, loaded.use_entity_type) == (kind, use_types)
     with open(prefix + ".mat", "rb") as f:
-        f.seek(len(R._INDEX_MAGIC))
-        (hlen,) = struct.unpack("<Q", f.read(8))
-    assert os.path.getsize(prefix + ".mat") == len(R._INDEX_MAGIC) + 8 + hlen + 8 * n * p
-
-
-def _index_with_header(header, body):
-    text = json.dumps(header, sort_keys=True).encode("utf-8")
-    return R._INDEX_MAGIC + struct.pack("<Q", len(text)) + text + body
+        assert len(split_index(f.read())[1]) == 8 * n * p
 
 
 # ids that a results file could not hold, each refused by name where the index enters
@@ -320,9 +317,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
     R.save_index(index, prefix)
     with open(prefix + ".mat", "rb") as f:
         raw = f.read()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    end = 16 + hlen
-    header, body = json.loads(raw[16:end]), raw[end:]
+    header, body = split_index(raw)
+    end = len(raw) - len(body)
     if case == "long_body":
         raw += bytes(8)
     elif case == "short_body":
@@ -336,7 +332,7 @@ def test_load_index_refuses_bad_files(tmp_path, case):
     elif case == "parent_format":  # magic, u64 rows and cols, then the body
         raw = b"CGEIDX1\n" + struct.pack("<QQ", 4, 3) + body
     elif case == "not_utf8":
-        raw = raw[:16] + b"\xff" * hlen + body
+        raw = raw[:16] + b"\xff" * (end - 16) + body
     elif case == "too_deep":  # nested past the JSON parser's recursion limit
         deep = b"[" * 100_000
         raw = R._INDEX_MAGIC + struct.pack("<Q", len(deep)) + deep
@@ -359,7 +355,7 @@ def test_load_index_refuses_bad_files(tmp_path, case):
             header["ids"][3] = header["ids"][1]
         elif case in _UNWRITABLE_IDS:
             header["ids"][2] = _UNWRITABLE_IDS[case]
-        raw = _index_with_header(header, body)
+        raw = index_with_header(header, body)
     with open(prefix + ".mat", "wb") as f:
         f.write(raw)
     with pytest.raises(R.RetrievalError, match=re.escape(prefix + ".mat")) as err:
@@ -488,6 +484,7 @@ def test_row_norms_are_lazy_and_memoised():
     norms = index.row_norms()
     assert index.row_norms() is norms
     np.testing.assert_array_equal(norms, einsum_norms(index.matrix))
+    np.testing.assert_allclose(norms, np.linalg.norm(index.matrix, axis=1), rtol=1e-15, atol=0)
 
 
 def test_non_c_order_matrix_scored_like_c_order():
