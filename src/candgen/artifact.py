@@ -9,9 +9,11 @@ error class naming the file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -43,9 +45,13 @@ def write(path, magic: bytes, header: dict, body: np.ndarray) -> None:
         np.ascontiguousarray(body, dtype="<f8").tofile(f)
 
 
-def read(path, magic: bytes, name: str, error: type, count) -> tuple[dict, np.ndarray]:
+def read(path, magic: bytes, name: str, error: type, count,
+         digests: dict | None = None) -> tuple[dict, np.ndarray]:
     """The header and the body of the ``name`` file at ``path``. ``count(header)``
-    returns the number of values the header promises, or raises ``error``."""
+    returns the number of values the header promises, or raises ``error``.
+    ``digests``, if given, gets ``digests[path]``: a call that joins the thread
+    hashing the bytes read (the whole file) and returns their hex SHA-256.
+    Whoever passed the dict must make that call."""
     with open(path, "rb") as f:
         if f.read(len(magic)) != magic:
             raise error(f"{path}: not a candgen {name} of this version; rebuild it "
@@ -53,8 +59,9 @@ def read(path, magic: bytes, name: str, error: type, count) -> tuple[dict, np.nd
         size = os.fstat(f.fileno()).st_size
         head = f.read(8)
         hlen = struct.unpack("<Q", head)[0] if len(head) == 8 else size
+        text = f.read(hlen) if hlen <= size else b""
         try:  # a cut header fails to parse; so does one that is not UTF-8 JSON
-            header = json.loads(f.read(hlen).decode("utf-8")) if hlen <= size else None
+            header = json.loads(text.decode("utf-8"))
         except (ValueError, RecursionError):  # RecursionError: nested too deep
             header = None
         if not isinstance(header, dict):
@@ -69,5 +76,10 @@ def read(path, magic: bytes, name: str, error: type, count) -> tuple[dict, np.nd
                 f"{path}: header promises {n} float64 values ({8 * n} bytes) "
                 f"but the body holds {body} bytes"
             )
-        values = np.fromfile(f, dtype="<f8", count=n).astype(np.float64, copy=False)
-    return header, values
+        raw = np.fromfile(f, dtype="<f8", count=n)
+    if digests is not None:  # the raw body, before any byte swap
+        sha = hashlib.sha256(magic + head + text)  # update releases the GIL on a large body
+        thread = threading.Thread(target=sha.update, args=(raw,))
+        thread.start()
+        digests[path] = lambda: thread.join() or sha.hexdigest()
+    return header, raw.astype(np.float64, copy=False)

@@ -42,10 +42,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, options: dict, inputs: list):
+def _write_manifest(path, args, inputs: list, digests=None, **recorded):
+    """``key=value`` lines of the effective options in ``args`` and of ``recorded``,
+    then each input's SHA-256, from ``digests`` if there (``artifact.read``)."""
+    options = {k: v for k, v in vars(args).items() if k != "func"} | recorded
     lines = [f"{key}={options[key]}" for key in sorted(options)]
     for p in sorted(str(p) for p in inputs):
-        lines.append(f"sha256:{p}={_sha256(p)}")
+        digest = digests[p]() if p in (digests or {}) else _sha256(p)
+        lines.append(f"sha256:{p}={digest}")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -151,10 +155,6 @@ def _retrieve(index, mentions, ys, k: int, metric: str) -> list[retrieval.Retrie
     return [retrieval.top_k(index, y, k, metric, m.mention_id) for m, y in zip(mentions, ys)]
 
 
-def _effective_options(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -168,7 +168,7 @@ def cmd_train_bpe(args):
             texts.extend(line for _, line in text_lines(path, CorpusParseError))
     vocab = train_bpe(texts, args.vocab_size)
     vocab.save(args.out + ".vocab", args.out + ".merges")
-    _write_manifest(args.out + ".manifest", _effective_options(args), args.input)
+    _write_manifest(args.out + ".manifest", args, args.input)
     print(f"trained vocabulary of {len(vocab)} tokens -> {args.out}.vocab")
     return 0
 
@@ -185,10 +185,8 @@ def cmd_train(args):
     save_checkpoint(os.path.join(args.out, "entity.ckpt"), enc_cfg, result.params_e)
     with open(os.path.join(args.out, "train.log"), "w", encoding="utf-8") as f:
         f.write("\n".join(result.log_lines) + "\n")
-    _write_manifest(
-        os.path.join(args.out, "manifest"), _effective_options(args),
-        _inputs(args, args.entities, args.mentions),
-    )
+    _write_manifest(os.path.join(args.out, "manifest"), args,
+                    _inputs(args, args.entities, args.mentions))
     print(f"trained {args.epochs} epochs -> {args.out}")
     return 0
 
@@ -201,32 +199,32 @@ def cmd_embed(args):
     entities = _typed(World(entities, {}), types_file).entities
     index = retrieval.build_index(entities, params_e, enc_cfg, vocab)
     retrieval.save_index(index, args.out)
-    _write_manifest(
-        args.out + ".manifest", _effective_options(args),
-        _inputs(args, args.entities, args.checkpoint),
-    )
+    _write_manifest(args.out + ".manifest", args, _inputs(args, args.entities, args.checkpoint))
     print(f"embedded {len(index.entity_ids)} entities -> {args.out}.mat")
     return 0
 
 
 def cmd_retrieve(args):
-    types_file = _types_file(args)
-    index = retrieval.load_index(args.index)
-    _check_k(args.k, len(index.entity_ids))
-    vocab, enc_cfg, params_m = _load_model(args)
-    _agree(args, (f"index {args.index}", index), (f"checkpoint {args.checkpoint}", enc_cfg))
-    mentions = load_mentions(args.mentions)
-    documents = documents_from_entities(load_entities(args.documents, world="_"))
-    validate_spans(mentions, documents)
-    mentions = _typed(World([], documents, mentions), types_file).mentions
-    ys = _mention_vectors(mentions, documents, vocab, params_m, enc_cfg)
-    results = _retrieve(index, mentions, ys, args.k, args.metric)
-    _write_results_tsv(results, args.out)
-    _write_manifest(
-        args.out + ".manifest",
-        {**_effective_options(args), "results_sha256": _sha256(args.out)},
-        _inputs(args, args.mentions, args.documents, args.checkpoint, args.index + ".mat"),
-    )
+    digests = {}  # the index file's SHA-256, taken while the rest runs
+    try:
+        index = retrieval.load_index(args.index, digests)
+        _check_k(args.k, len(index.entity_ids))
+        vocab, enc_cfg, params_m = _load_model(args)
+        _agree(args, (f"index {args.index}", index), (f"checkpoint {args.checkpoint}", enc_cfg))
+        mentions = load_mentions(args.mentions)
+        documents = documents_from_entities(load_entities(args.documents, world="_"))
+        validate_spans(mentions, documents)
+        mentions = _typed(World([], documents, mentions), _types_file(args)).mentions
+        ys = _mention_vectors(mentions, documents, vocab, params_m, enc_cfg)
+        results = _retrieve(index, mentions, ys, args.k, args.metric)
+        _write_results_tsv(results, args.out)
+        _write_manifest(
+            args.out + ".manifest", args,
+            _inputs(args, args.mentions, args.documents, args.checkpoint, args.index + ".mat"),
+            digests, results_sha256=_sha256(args.out))
+    finally:  # a refused retrieve leaves no helper thread running
+        for join in digests.values():
+            join()
     print(f"retrieved top-{args.k} for {len(results)} mentions -> {args.out}")
     return 0
 
@@ -302,9 +300,7 @@ def cmd_eval(args):
     ks = [int(k) for k in args.ks.split(",")]
     report = evaluation.build_report(results, gold, worlds, ks, metric=args.metric)
     evaluation.write_report(report, args.out + ".report", args.out + ".curve")
-    _write_manifest(
-        args.out + ".manifest", _effective_options(args), [args.results, args.mentions]
-    )
+    _write_manifest(args.out + ".manifest", args, [args.results, args.mentions])
     for k, acc in report.curve():
         print(f"accuracy@{k}\t{acc:.6f}")
     return 0
@@ -351,10 +347,8 @@ def cmd_experiment(args):
         f.write(f"pooling\tentity_type\tmetric\taccuracy@1\taccuracy@{args.k}\n")
         for kind, types, metric, acc1, acck in rows:
             f.write(f"{kind}\t{types}\t{metric}\t{acc1:.6f}\t{acck:.6f}\n")
-    _write_manifest(
-        os.path.join(args.out, "manifest"), _effective_options(args),
-        _inputs(args, args.entities, args.mentions),
-    )
+    _write_manifest(os.path.join(args.out, "manifest"), args,
+                    _inputs(args, args.entities, args.mentions))
     print(f"wrote {len(rows)} comparison rows -> {table_path}")
     return 0
 

@@ -8,7 +8,7 @@ A query scores every row with one matrix-vector product, then selects
 instead of sorting: ``np.partition`` finds the K-th best key, and the
 shortlist keeps every row whose key ties with or beats it (the tie
 closure), so a row tied with the K-th is never cut off by its position.
-Only the shortlist is sorted, by score and then entity id. For euclidean
+Only the shortlist is sorted: by id, then stably by score. For euclidean
 distance the key is |m|**2 - 2 m.q, which ranks rows like the distance
 but carries rounding error; the shortlist is widened by a proven bound on
 that error (see ``_euclidean_margin``) and its rows are rescored with the
@@ -83,7 +83,6 @@ class EmbeddingIndex:
     pooling_kind: str = pooling.CLS
     use_entity_type: bool = False
 
-    _id_rank: np.ndarray = field(init=False, repr=False)
     _norms: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -103,11 +102,8 @@ class EmbeddingIndex:
         if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
             raise RetrievalError("non-finite embedding row")
         matrix.flags.writeable = False
-        id_rank = np.empty(len(ids), dtype=np.int64)
-        id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
         object.__setattr__(self, "entity_ids", ids)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_id_rank", id_rank)
 
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of every row, computed on first use and kept
@@ -191,17 +187,17 @@ def top_k(
         bound += _euclidean_margin(norms, query)
     # Tie closure: every row whose key ties with the K-th stays. A NaN key
     # (from a non-finite query) is never above the bound, so it stays too and
-    # sorts last, as in a full sort.
-    rows = np.flatnonzero(~(key > bound))
+    # sorts last, as in a full sort. Only the shortlist is put in id order, and
+    # the stable sort by key then leaves tied rows in it.
+    shortlist = np.flatnonzero(~(key > bound)).tolist()
+    rows = np.array(sorted(shortlist, key=index.entity_ids.__getitem__))
     if metric == EUCLIDEAN:
         key = scores = np.linalg.norm(m[rows] - query, axis=1)
     else:
         scores, key = scores[rows], key[rows]
-    best = np.lexsort((index._id_rank[rows], key))[:k]
-    return RetrievalResult(
-        mention_id=mention_id,
-        candidates=[(index.entity_ids[rows[i]], float(scores[i])) for i in best],
-    )
+    best = np.argsort(key, kind="stable")[:k]
+    ranked = zip(rows[best].tolist(), scores[best].tolist())
+    return RetrievalResult(mention_id, [(index.entity_ids[r], s) for r, s in ranked])
 
 
 def _usable_cpus() -> int:
@@ -286,9 +282,10 @@ def _value_count(header: dict) -> int:
     return len(ids) * width
 
 
-def load_index(prefix: str) -> EmbeddingIndex:
+def load_index(prefix: str, digests: dict | None = None) -> EmbeddingIndex:
+    """The index in ``prefix.mat``; ``digests`` as in ``artifact.read``."""
     path = prefix + ".mat"
-    h, body = artifact.read(path, _INDEX_MAGIC, "index", RetrievalError, _value_count)
+    h, body = artifact.read(path, _INDEX_MAGIC, "index", RetrievalError, _value_count, digests)
     try:
         return EmbeddingIndex(h["ids"], body.reshape(-1, h["width"]), h.get("pooling"),
                               h.get("use_entity_type"))

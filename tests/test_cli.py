@@ -1,17 +1,21 @@
 import filecmp
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from candgen import cli, pooling, retrieval, synthetic
+from candgen import artifact, cli, pooling, retrieval, synthetic
 from candgen.cli import _read_results_tsv, _write_results_tsv, build_parser, main
 from candgen.encoder import EncoderConfig, load_checkpoint
 from candgen.training import TrainConfig
@@ -466,6 +470,76 @@ def test_eval_refuses_a_manifest_of_other_results(pipeline, toy_files, tmp_path,
     err = capsys.readouterr().err
     assert f"{dot}.manifest does not describe {dot}" in err
     assert not os.path.exists(tmp_path / "eval.report")
+
+
+def test_retrieve_digests_the_index_it_read(pipeline, toy_files, tmp_path, monkeypatch):
+    """retrieve reads its index once: the manifest's digest of the .mat file
+    is taken from the bytes load_index read, not from a second read, and it
+    is the file's SHA-256."""
+    mat, sha256 = pipeline["index"] + ".mat", cli._sha256
+
+    def no_second_read(path):
+        if str(path) == mat:
+            raise AssertionError(f"{path} was read again for its digest")
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", no_second_read)
+    out, threads = tmp_path / "results.tsv", threading.active_count()
+    run(_retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", out))
+    assert threading.active_count() == threads
+    want = hashlib.sha256(Path(mat).read_bytes()).hexdigest()
+    assert f"sha256:{mat}={want}" in Path(f"{out}.manifest").read_text().splitlines()
+
+
+class _SlowSha256:
+    """hashlib.sha256 that takes a while over each update, so that a helper
+    thread left unjoined would still be running when retrieve returns."""
+
+    def __init__(self, data=b""):
+        self._sha = hashlib.sha256(data)
+
+    def update(self, data):
+        time.sleep(0.2)
+        self._sha.update(data)
+
+    def hexdigest(self):
+        return self._sha.hexdigest()
+
+
+@pytest.mark.parametrize("case", ["non_finite_row", "truncated", "other_pooling"])
+def test_a_refused_retrieve_leaves_no_thread(pipeline, toy_files, tmp_path, capsys,
+                                             monkeypatch, case):
+    """A retrieve refused for its index, or for a flag after the index was
+    read, exits 1 with its message, and no digest thread outlives it."""
+    monkeypatch.setattr(artifact, "hashlib", SimpleNamespace(sha256=_SlowSha256))
+    index = retrieval.load_index(pipeline["index"])
+    prefix, out = str(tmp_path / case), tmp_path / "results.tsv"
+    argv = _retrieve_argv(pipeline, toy_files, toy_files["mentions"], "dot", out)
+    argv[argv.index("--index") + 1] = prefix
+    n, width = index.matrix.shape
+    if case == "non_finite_row":
+        matrix = index.matrix.copy()
+        matrix[3, 1] = np.inf
+        header = {"ids": index.entity_ids, "pooling": index.pooling_kind,
+                  "use_entity_type": index.use_entity_type, "width": width}
+        artifact.write(prefix + ".mat", retrieval._INDEX_MAGIC, header, matrix)
+        message = f"error: {prefix}.mat: non-finite embedding row"
+    else:
+        retrieval.save_index(index, prefix)
+        if case == "truncated":
+            with open(prefix + ".mat", "r+b") as f:
+                f.truncate(os.path.getsize(prefix + ".mat") - 8)
+            message = (f"error: {prefix}.mat: header promises {n * width} float64 values "
+                       f"({8 * n * width} bytes) but the body holds {8 * n * width - 8} bytes")
+        else:
+            argv[argv.index("--pooling") + 1] = "cls"
+            message = (f"error: index {prefix} was built with pooling 'avg', "
+                       "but retrieve was given --pooling cls")
+    threads = threading.active_count()
+    assert main(argv) == 1
+    assert threading.active_count() == threads
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists() and not os.path.exists(f"{out}.manifest")
 
 
 def test_retrieve_of_no_mentions_writes_empty_results(pipeline, toy_files, tmp_path):

@@ -45,11 +45,22 @@ def full_scan_scores(matrix, query, metric):
 
 
 def full_sort_top_k(ids, matrix, query, k, metric):
-    """First k (id, score) pairs of every row sorted by full-scan score, then id."""
+    """First k (id, score) pairs of every row sorted by full-scan score, then
+    id; NaN scores sort last, as np.sort puts them, and among themselves by id."""
     scores = full_scan_scores(matrix, query, metric)
     sign = 1.0 if metric == R.EUCLIDEAN else -1.0
-    order = sorted(range(len(ids)), key=lambda i: (sign * scores[i], ids[i]))
-    return [(ids[i], float(scores[i])) for i in order[:k]]
+
+    def key(i):
+        nan = bool(np.isnan(scores[i]))
+        return nan, 0.0 if nan else sign * scores[i], ids[i]
+
+    return [(ids[i], float(scores[i])) for i in sorted(range(len(ids)), key=key)[:k]]
+
+
+def score_bits(candidates):
+    """(id, score) pairs with each score as its exact hex text, so that NaN
+    scores compare equal and -0.0 differs from 0.0."""
+    return [(eid, score.hex()) for eid, score in candidates]
 
 
 def make_index(rng, n=50, p=8):
@@ -462,6 +473,45 @@ def test_top_k_equals_full_sort(seed, n, p, family):
             for (eid, a), (_, b) in zip(got, want):
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
                 assert a == pytest.approx(own[eid], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", R.ALL_METRICS)
+def test_non_finite_query_ranks_like_a_full_sort(metric, bad):
+    """A query with a NaN or infinite component: rows scoring +-inf rank by
+    id among themselves, and NaN scores (0 * inf in a row with a zero there,
+    or every row) come last, by id, as in the full sort."""
+    rng = np.random.default_rng(22)
+    n, p = 40, 5
+    ids = [f"e{i:04d}" for i in rng.permutation(n)]
+    matrix = rng.normal(size=(n, p))
+    matrix[::6, 2] = 0.0
+    query = rng.normal(size=p)
+    query[2] = bad
+    index = R.EmbeddingIndex(ids, matrix)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in (1, 7, n):
+            got = R.top_k(index, query, k, metric).candidates
+            assert score_bits(got) == score_bits(full_sort_top_k(ids, matrix, query, k, metric))
+
+
+@pytest.mark.parametrize("metric", R.ALL_METRICS)
+def test_ties_at_k_go_by_code_point_not_row(metric):
+    """Identical rows tied across the K-th place are cut by id in code-point
+    order ("Z" < "e" < "É"), which is neither their row order nor any
+    case-folded or accented order."""
+    rng = np.random.default_rng(23)
+    ids = ["É", "e", "near", "Z", "far", "Éa", "ea", "Za"]
+    matrix = rng.normal(size=(8, 4)) * 0.01 + [0.0, 0.0, 0.0, 5.0]
+    matrix[[0, 1, 3, 5, 6, 7]] = [1.0, 2.0, -1.0, 0.5]  # six copies, placed out of id order
+    matrix[2] = [1.0, 2.0, -1.0, 0.6]  # the nearest row under every metric
+    query = np.array([1.0, 2.0, -1.0, 0.7])
+    index = R.EmbeddingIndex(ids, matrix)
+    for k in range(1, 9):
+        got = R.top_k(index, query, k, metric).candidates
+        assert score_bits(got) == score_bits(full_sort_top_k(ids, matrix, query, k, metric))
+    assert [eid for eid, _ in R.top_k(index, query, 4, metric).candidates] == \
+        ["near", "Z", "Za", "e"]
 
 
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
