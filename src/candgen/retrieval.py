@@ -4,16 +4,17 @@ The dictionary of one world is embedded once; queries then run a brute
 force scan under dot product, cosine similarity, or euclidean distance.
 Ties are broken by ascending entity id so results are deterministic.
 
-A query scores every row with one matrix-vector product, then selects
-instead of sorting: ``np.partition`` finds the K-th best key, and the
+A query scores every row with one matrix-vector product, but that product
+only builds a shortlist: ``np.partition`` finds the K-th best key, and the
 shortlist keeps every row whose key ties with or beats it (the tie
-closure), so a row tied with the K-th is never cut off by its position.
-Only the shortlist is sorted: by id, then stably by score. For euclidean
-distance the key is |m|**2 - 2 m.q, which ranks rows like the distance
-but carries rounding error; the shortlist is widened by a proven bound on
-that error (see ``_euclidean_margin``) and its rows are rescored with the
-exact ``norm(m - q)``. Every returned score has the same bits as a full
-scan with ``m @ q``, ``(m @ q) / (norms * |q|)`` or ``norm(m - q, axis=1)``.
+closure), widened by a proven bound on the key's rounding error (see
+``_margin``), so a row tied with the K-th is never cut off by its position
+or by the product's rounding. The shortlist is put in id order, rescored
+row by row with ``einsum("ij,j->i", m, q)`` (the sum of products that the
+row norms use), that over ``norms * |q|``, or ``norm(m - q)``, and sorted
+stably by that score. Every returned score depends only on its row's bytes
+and the query, never on where the row sits, so identical rows tie exactly
+and go by id.
 """
 
 from __future__ import annotations
@@ -84,10 +85,11 @@ class EmbeddingIndex:
     use_entity_type: bool = False
 
     _norms: np.ndarray | None = field(default=None, init=False, repr=False)
+    _max_abs: float = field(default=0.0, init=False, repr=False)  # max |m_ij|, for ``_margin``
 
     def __post_init__(self):
-        # C order keeps each row's reduction in norm(m[rows] - q, axis=1) the
-        # same as in a full scan, so rescored scores match it bit for bit.
+        # C order keeps each row's einsum norm the same as that row's alone,
+        # whatever the order of the given matrix, so scores depend only on rows.
         ids, matrix = tuple(self.entity_ids), np.ascontiguousarray(self.matrix, dtype=np.float64)
         if len(ids) != matrix.shape[0]:
             raise RetrievalError("entity ids not aligned with matrix rows")
@@ -99,9 +101,11 @@ class EmbeddingIndex:
         # min and max carry any NaN or infinity, with no (N, P) temporary: one
         # that size, once freed, raises glibc's dynamic mmap and trim thresholds,
         # and every later working set below them then stays resident.
-        if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
+        extremes = np.array([matrix.min(), matrix.max()] if matrix.size else [0.0])
+        if not np.isfinite(extremes).all():
             raise RetrievalError("non-finite embedding row")
         matrix.flags.writeable = False
+        object.__setattr__(self, "_max_abs", float(np.abs(extremes).max()))
         object.__setattr__(self, "entity_ids", ids)
         object.__setattr__(self, "matrix", matrix)
 
@@ -122,34 +126,53 @@ class RetrievalResult:
     candidates: list[tuple[str, float]]  # (entity_id, score), best first
 
 
-# Euclidean shortlist margin. The shortlist key is s_i = fl(n_i**2) -
-# 2 fl(m_i . q), with n_i the memoised row norm; exactly, t_i = |m_i|**2 -
-# 2 m_i . q = |m_i - q|**2 - |q|**2. Let u = 2**-53, P the width, g = (P+8)u /
-# (1 - (P+8)u) and R = max_i n_i + |q|. The dot-product error bound
-# |fl(x . y) - x . y| <= g |x| . |y| (Higham, Accuracy and Stability of
-# Numerical Algorithms, sec. 3.1; it holds for any summation order, FMA or not)
-# gives
+# Shortlist margin. The GEMV y = m @ q only builds the shortlist: it gives
+# each row a key s_i, and the shortlist is rescored row by row into the key
+# d_i that is sorted (and, negated for dot and cosine, returned). Let u =
+# 2**-53, P the width, g_P = Pu / (1 - Pu) and g = g_{P+8}. The dot-product
+# error bound |fl(x . y) - x . y| <= g_P |x| . |y| (Higham, Accuracy and
+# Stability of Numerical Algorithms, sec. 3.1; it holds for any summation
+# order, FMA or not) bounds both keys' distance from an exact t_i; the margin
+# is 5 g S for a scale S that each metric supplies. Let T be the K-th
+# smallest key s.
+#
+# Dot and cosine: if |s_i - t_i| <= E and |d_i - t_i| <= E for every row,
+# the K rows with s <= T have d <= T + 2E, so the K-th smallest d is at most
+# T + 2E, and a row j whose d_j ties with or beats it has t_j <= T + 3E and
+# s_j <= T + 4E.
+#   dot: s_i = -y_i, d_i = -fl(sum_j m_ij q_j) and t_i = -m_i . q, so E =
+#       g_P M |q|_1 with M = max |m_ij| (from the min and max the index takes
+#       when it is made) and S = fl(M fl(|q|_1)) >= (1 - g_P) M |q|_1: 4E < 4 g S.
+#   cosine: s_i = -y_i / D_i and d_i = -fl(sum_j m_ij q_j) / D_i divide by
+#       the same bits D_i = fl(n_i fl(|q|)), n_i the memoised row norm; t_i =
+#       -m_i . q / D_i. While every n_i and |q| lie in [2**-500, 2**500], the
+#       norms are within g_P / 2 + u of |m_i| and |q|, so D_i >= (1 - g_P -
+#       3u) |m_i| |q|, and by Cauchy-Schwarz and one rounding of the quotient
+#       E <= g: S = 1 and 4E <= 4 g S.
+# Euclidean: s_i = fl(n_i**2) - 2 y_i; exactly, t_i = |m_i|**2 - 2 m_i . q =
+# |m_i - q|**2 - |q|**2. With R = max_i n_i + |q| and S = R**2,
 #   (a) |s_i - t_i| <= E = g R**2: the norm, its square, the GEMV and the
 #       subtraction are at most P+4 roundings of terms bounded by R**2;
 #   (b) the rescored d_i = fl(norm(fl(m_i - q))) has d_i**2 = |m_i - q|**2
 #       (1 + th) with |th| <= g: one subtraction and one square per entry,
 #       P-1 additions, one square root.
-# Let T be the K-th smallest key. The K rows with s <= T have exact t <= T + E,
-# so the K-th smallest rescored distance d_K has d_K**2 <= (1+g) X with
-# X = T + E + |q|**2 <= (1 + 2g) R**2, since |m - q| <= R. By (b) a row j with
-# d_j <= d_K has t_j <= (1+g)/(1-g) X - |q|**2 <= T + E + 2.01 g R**2, and by
-# (a) s_j <= T + 4.01 g R**2. Keeping every row with s <= T + 5 g R**2 thus
-# keeps every row that ties with or beats d_K; the spare g R**2 covers the
-# rounding of R and of T + margin and, while the margin is a normal float,
-# every product or square that underflowed (each is off by under 2**-1074).
-# Outside that range the margin is infinite and every row is rescored.
+# The K rows with s <= T have exact t <= T + E, so the K-th smallest rescored
+# distance d_K has d_K**2 <= (1+g) X with X = T + E + |q|**2 <= (1 + 2g) R**2,
+# since |m - q| <= R. By (b) a row j with d_j <= d_K has t_j <= (1+g)/(1-g) X
+# - |q|**2 <= T + E + 2.01 g R**2, and by (a) s_j <= T + 4.01 g R**2.
+#
+# Keeping every row with s <= T + 5 g S thus keeps every row that ties with
+# or beats the K-th rescored key; the spare, at least 0.99 g S, covers the
+# rounding of S and of T + margin and, while the margin is a normal float,
+# every product or square that underflowed (each is off by under 2**-1074,
+# which over a cosine D_i > 2**-1001 is under 2**-20 g / P). Outside those
+# ranges the margin is infinite and every row is rescored.
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _euclidean_margin(norms: np.ndarray, query: np.ndarray) -> float:
-    w = (len(query) + 8) * _UNIT_ROUNDOFF
-    r = float(norms.max()) + float(np.linalg.norm(query))
-    margin = 5.0 * w / (1.0 - w) * r * r
+def _margin(scale: float, width: int) -> float:
+    w = (width + 8) * _UNIT_ROUNDOFF
+    margin = 5.0 * w / (1.0 - w) * scale
     return margin if np.finfo(np.float64).tiny <= margin < np.inf else np.inf
 
 
@@ -169,33 +192,34 @@ def top_k(
             f"query dimension {query.shape} does not match index width {m.shape[1]}"
         )
     if metric == DOT:
-        scores = m @ query
-        key = -scores
+        key, scale = -(m @ query), index._max_abs * np.abs(query).sum()
     elif metric == COSINE:
         qn, norms = np.linalg.norm(query), index.row_norms()
-        if qn == 0.0 or (norms == 0.0).any():
+        sizes = np.array([qn, norms.min(), norms.max()])
+        if (sizes == 0.0).any():
             raise RetrievalError("cosine similarity undefined for a zero vector")
-        scores = (m @ query) / (norms * qn)
-        key = -scores
+        key = -(m @ query) / (norms * qn)
+        scale = 1.0 if ((2.0**-500 <= sizes) & (sizes <= 2.0**500)).all() else np.inf
     elif metric == EUCLIDEAN:
         norms = index.row_norms()
-        key = norms * norms - 2.0 * (m @ query)
+        r = float(norms.max()) + float(np.linalg.norm(query))
+        key, scale = norms * norms - 2.0 * (m @ query), r * r
     else:
         raise RetrievalError(f"unknown metric {metric!r}")
-    bound = np.partition(key, k - 1)[k - 1]
-    if metric == EUCLIDEAN:
-        bound += _euclidean_margin(norms, query)
+    bound = np.partition(key, k - 1)[k - 1] + _margin(scale, len(query))
     # Tie closure: every row whose key ties with the K-th stays. A NaN key
     # (from a non-finite query) is never above the bound, so it stays too and
     # sorts last, as in a full sort. Only the shortlist is put in id order, and
-    # the stable sort by key then leaves tied rows in it.
+    # the stable sort by the rescored key then leaves tied rows in it.
     shortlist = np.flatnonzero(~(key > bound)).tolist()
     rows = np.array(sorted(shortlist, key=index.entity_ids.__getitem__))
     if metric == EUCLIDEAN:
-        key = scores = np.linalg.norm(m[rows] - query, axis=1)
+        scores = np.linalg.norm(m[rows] - query, axis=1)
     else:
-        scores, key = scores[rows], key[rows]
-    best = np.argsort(key, kind="stable")[:k]
+        scores = np.einsum("ij,j->i", m[rows], query)
+        if metric == COSINE:
+            scores /= norms[rows] * qn
+    best = np.argsort(scores if metric == EUCLIDEAN else -scores, kind="stable")[:k]
     ranked = zip(rows[best].tolist(), scores[best].tolist())
     return RetrievalResult(mention_id, [(index.entity_ids[r], s) for r, s in ranked])
 

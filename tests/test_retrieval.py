@@ -35,26 +35,29 @@ def einsum_norms(matrix):
     return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
 
 
-def full_scan_scores(matrix, query, metric):
-    """Every row's score as one scan over the whole matrix computes it."""
-    if metric == R.DOT:
-        return matrix @ query
+def score_alone(row, query, metric):
+    """A row's score with the row alone as a one-row matrix, so that no other
+    row and no position in an index can change its bits."""
+    row = row[None, :]
+    if metric == R.EUCLIDEAN:
+        return float(np.linalg.norm(row - query, axis=1)[0])
+    score = np.einsum("ij,j->i", row, query)[0]
     if metric == R.COSINE:
-        return (matrix @ query) / (einsum_norms(matrix) * np.linalg.norm(query))
-    return np.linalg.norm(matrix - query, axis=1)
+        score /= einsum_norms(row)[0] * np.linalg.norm(query)
+    return float(score)
 
 
 def full_sort_top_k(ids, matrix, query, k, metric):
-    """First k (id, score) pairs of every row sorted by full-scan score, then
-    id; NaN scores sort last, as np.sort puts them, and among themselves by id."""
-    scores = full_scan_scores(matrix, query, metric)
+    """First k (id, score) pairs of every row, each scored alone, sorted by
+    score, then id; NaN scores sort last, among themselves by id."""
     sign = 1.0 if metric == R.EUCLIDEAN else -1.0
 
-    def key(i):
-        nan = bool(np.isnan(scores[i]))
-        return nan, 0.0 if nan else sign * scores[i], ids[i]
+    def key(pair):
+        eid, score = pair
+        return np.isnan(score), 0.0 if np.isnan(score) else sign * score, eid
 
-    return [(ids[i], float(scores[i])) for i in sorted(range(len(ids)), key=key)[:k]]
+    return sorted(((eid, score_alone(row, query, metric)) for eid, row in zip(ids, matrix)),
+                  key=key)[:k]
 
 
 def score_bits(candidates):
@@ -432,7 +435,9 @@ def _planted(seed, n, p, family, metric, k):
     """An index whose row at position k (or just before it) has copies ranked
     after k, so a tie group straddles the cut; ids are shuffled so that ties
     must be broken by id, not by row position. ``near_ties`` rows and query
-    are one base vector x 1e4 plus noise x 1e-3."""
+    are one base vector x 1e4 plus noise x 1e-3. ``tail_copies`` places the
+    copies in the last N mod 4 rows, which OpenBLAS's matrix-vector product
+    scores with another kernel than the rows before them."""
     rng = np.random.default_rng(seed)
     ids = [f"e{i:04d}" for i in rng.permutation(n)]
     if family == "near_ties":
@@ -442,11 +447,14 @@ def _planted(seed, n, p, family, metric, k):
     else:
         matrix = rng.normal(size=(n, p))
         query = matrix[rng.integers(n)].copy() if rng.random() < 0.3 else rng.normal(size=p)
-    if k < n:
+    if k < n or family == "tail_copies":
         order = [i for i, _ in full_sort_top_k(list(range(n)), matrix, query, n, metric)]
         source = order[rng.integers(max(0, k - 3), k)]
         after = order[k:]
-        copies = rng.choice(after, size=rng.integers(1, len(after) + 1), replace=False)
+        if family == "tail_copies":
+            copies = [r for r in range(n - n % 4, n) if r != source]
+        else:
+            copies = rng.choice(after, size=rng.integers(1, len(after) + 1), replace=False)
         matrix[copies] = matrix[source]
     return ids, matrix, query
 
@@ -456,18 +464,17 @@ def _planted(seed, n, p, family, metric, k):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     n=st.integers(min_value=1, max_value=60),
     p=st.integers(min_value=1, max_value=16),
-    family=st.sampled_from(["duplicates", "near_ties"]),
+    family=st.sampled_from(["duplicates", "near_ties", "tail_copies"]),
 )
 def test_top_k_equals_full_sort(seed, n, p, family):
     for metric in R.ALL_METRICS:
         for k in sorted({1, (n + 1) // 2, n}):
             ids, matrix, query = _planted(seed, n, p, family, metric, k)
             got = R.top_k(R.EmbeddingIndex(ids, matrix), query, k, metric).candidates
-            assert got == full_sort_top_k(ids, matrix, query, k, metric)
-            # The per-row oracle rounds differently from the matrix-vector
-            # product, which can even give two identical rows scores one ulp
-            # apart, so it may order rounding-level ties differently: its ids
-            # are not compared, only its scores, rank by rank and id by id.
+            assert score_bits(got) == score_bits(full_sort_top_k(ids, matrix, query, k, metric))
+            # ``similarity`` scores with other kernels (a @ b, np.linalg.norm),
+            # which order rounding-level ties their own way: only its scores
+            # are compared, rank by rank and id by id.
             want = brute_force_pairs(ids, matrix, query, metric)
             own = dict(want)
             for (eid, a), (_, b) in zip(got, want):
@@ -515,15 +522,36 @@ def test_ties_at_k_go_by_code_point_not_row(metric):
 
 
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
-def test_scores_are_the_full_scan_bits(metric):
+def test_a_score_depends_only_on_its_row(metric):
+    """Each returned score has the bits of its row scored alone, wherever the
+    row sits: the same lists come from the rows in reverse order, which moves
+    the first N mod 4 rows into the matrix-vector product's tail."""
     rng = np.random.default_rng(16)
-    index = make_index(rng, n=2348, p=12)
+    index = make_index(rng, n=2347, p=12)
+    flipped = R.EmbeddingIndex(index.entity_ids[::-1], index.matrix[::-1])
     row = {eid: i for i, eid in enumerate(index.entity_ids)}
     for _ in range(3):
         q = rng.normal(size=12)
-        full = full_scan_scores(index.matrix, q, metric)
-        for eid, score in R.top_k(index, q, 40, metric).candidates:
-            assert score == full[row[eid]]
+        got = R.top_k(index, q, 40, metric).candidates
+        assert score_bits(R.top_k(flipped, q, 40, metric).candidates) == score_bits(got)
+        for eid, score in got:
+            assert score.hex() == score_alone(index.matrix[row[eid]], q, metric).hex()
+
+
+@pytest.mark.parametrize("metric", R.ALL_METRICS)
+def test_copy_in_the_gemv_tail_ties_by_id(metric):
+    """Row 0 copied into row 102, the last of 103 (N mod 4 = 3): e000 (row
+    102) and e001 (row 0) tie, so e000 comes first, with the same score."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(103, 16))
+        matrix[102] = matrix[0]
+        ids = [f"e{i:03d}" for i in range(1, 103)] + ["e000"]
+        query = rng.normal(size=16)
+        got = R.top_k(R.EmbeddingIndex(ids, matrix), query, 103, metric).candidates
+        at = [eid for eid, _ in got].index("e000")
+        assert got[at + 1][0] == "e001", seed
+        assert got[at][1].hex() == got[at + 1][1].hex(), seed
 
 
 def test_row_norms_are_lazy_and_memoised():
