@@ -16,6 +16,7 @@ from candgen.templates import build_mention_sequence
 world = synthetic.make_toy_world(n_entities=20, n_mentions=50, seed=0)
 vocab = synthetic.toy_vocabulary(world)
 gold = {m.mention_id: m.gold_entity_id for m in world.mentions}
+mention_ids = [m.mention_id for m in world.mentions]
 
 enc_cfg = EncoderConfig(dim=32, layers=1, heads=2, ff_dim=128, max_len=16,
                         vocab_size=len(vocab))
@@ -35,8 +36,8 @@ for kind in pooling.ALL_KINDS:
     ys, _ = training.forward_pooled(result.params_m, cfg, mention_seqs)
     row = [kind]
     for metric in retrieval.ALL_METRICS:
-        results = [retrieval.top_k(index, ys[i], 1, metric, m.mention_id)
-                   for i, m in enumerate(world.mentions)]
+        # every mention at once, scanned in blocks, as `candgen retrieve` does
+        results = retrieval.top_k_many(index, ys, 1, metric, mention_ids)
         row.append(evaluation.accuracy_at_k(results, gold, 1))
     print(f"{row[0]:<14}{row[1]:>8.2f}{row[2]:>8.2f}{row[3]:>8.2f}")
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import queue
 import struct
 import threading
 
 import numpy as np
+
+READ_BLOCK = 1 << 22  # bytes of a body read at a time (4 MiB)
 
 
 def text_lines(path, error: type):
@@ -51,7 +54,8 @@ def read(path, magic: bytes, name: str, error: type, count,
     returns the number of values the header promises, or raises ``error``.
     ``digests``, if given, gets ``digests[path]``: a call that joins the thread
     hashing the bytes read (the whole file) and returns their hex SHA-256.
-    Whoever passed the dict must make that call."""
+    The thread hashes each ``READ_BLOCK`` of the body as soon as it is read.
+    Whoever passed the dict must make that call, also when this one raises."""
     with open(path, "rb") as f:
         if f.read(len(magic)) != magic:
             raise error(f"{path}: not a candgen {name} of this version; rebuild it "
@@ -76,10 +80,29 @@ def read(path, magic: bytes, name: str, error: type, count,
                 f"{path}: header promises {n} float64 values ({8 * n} bytes) "
                 f"but the body holds {body} bytes"
             )
-        raw = np.fromfile(f, dtype="<f8", count=n)
-    if digests is not None:  # the raw body, before any byte swap
-        sha = hashlib.sha256(magic + head + text)  # update releases the GIL on a large body
-        thread = threading.Thread(target=sha.update, args=(raw,))
-        thread.start()
-        digests[path] = lambda: thread.join() or sha.hexdigest()
+        raw = np.empty(n, dtype="<f8")
+        buf, done, blocks = raw.view(np.uint8), 0, None
+        if digests is not None:  # the raw body, before any byte swap
+            sha = hashlib.sha256(magic + head + text)  # update releases the GIL on a large block
+            blocks = queue.SimpleQueue()
+
+            def hash_blocks():
+                while (block := blocks.get()) is not None:
+                    sha.update(block)
+
+            thread = threading.Thread(target=hash_blocks)
+            thread.start()
+            digests[path] = lambda: thread.join() or sha.hexdigest()
+        try:
+            while done < len(buf):
+                got = f.readinto(buf[done : done + READ_BLOCK])
+                if not got:  # the file shrank after its size was taken
+                    raise error(f"{path}: the {name} body ended after {done} of "
+                                f"{len(buf)} bytes")
+                if blocks is not None:
+                    blocks.put(buf[done : done + got])
+                done += got
+        finally:
+            if blocks is not None:
+                blocks.put(None)
     return header, raw.astype(np.float64, copy=False)

@@ -151,10 +151,6 @@ def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg):
     )
 
 
-def _retrieve(index, mentions, ys, k: int, metric: str) -> list[retrieval.RetrievalResult]:
-    return [retrieval.top_k(index, y, k, metric, m.mention_id) for m, y in zip(mentions, ys)]
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -216,7 +212,8 @@ def cmd_retrieve(args):
         validate_spans(mentions, documents)
         mentions = _typed(World([], documents, mentions), _types_file(args)).mentions
         ys = _mention_vectors(mentions, documents, vocab, params_m, enc_cfg)
-        results = _retrieve(index, mentions, ys, args.k, args.metric)
+        results = retrieval.top_k_many(index, ys, args.k, args.metric,
+                                       [m.mention_id for m in mentions])
         _write_results_tsv(results, args.out)
         _write_manifest(
             args.out + ".manifest", args,
@@ -326,6 +323,7 @@ def cmd_experiment(args):
     for use_types, world in worlds.items():
         gold = {m.mention_id: m.gold_entity_id for m in world.mentions}
         world_of = {m.mention_id: m.world for m in world.mentions}
+        mention_ids = [m.mention_id for m in world.mentions]
         for kind in pooling.ALL_KINDS:
             accs: dict[str, list[dict[int, float]]] = {m: [] for m in retrieval.ALL_METRICS}
             for seed in range(args.seed, args.seed + args.seeds):
@@ -334,7 +332,7 @@ def cmd_experiment(args):
                 ys = _mention_vectors(world.mentions, world.documents, vocab,
                                       result.params_m, enc_cfg)
                 for metric in retrieval.ALL_METRICS:
-                    results = _retrieve(index, world.mentions, ys, args.k, metric)
+                    results = retrieval.top_k_many(index, ys, args.k, metric, mention_ids)
                     report = evaluation.build_report(results, gold, world_of, [1, args.k])
                     accs[metric].append(report.accuracy_by_k)
             for metric, by_seed in accs.items():

@@ -4,17 +4,21 @@ The dictionary of one world is embedded once; queries then run a brute
 force scan under dot product, cosine similarity, or euclidean distance.
 Ties are broken by ascending entity id so results are deterministic.
 
-A query scores every row with one matrix-vector product, but that product
-only builds a shortlist: ``np.partition`` finds the K-th best key, and the
-shortlist keeps every row whose key ties with or beats it (the tie
-closure), widened by a proven bound on the key's rounding error (see
-``_margin``), so a row tied with the K-th is never cut off by its position
-or by the product's rounding. The shortlist is put in id order, rescored
-row by row with ``einsum("ij,j->i", m, q)`` (the sum of products that the
-row norms use), that over ``norms * |q|``, or ``norm(m - q)``, and sorted
-stably by that score. Every returned score depends only on its row's bytes
-and the query, never on where the row sits, so identical rows tie exactly
-and go by id.
+A single query (``top_k``) scores every row with one matrix-vector product
+on the caller's BLAS threads. A matrix of queries (``top_k_many``, which
+``retrieve`` and ``experiment`` use) is scanned in blocks of queries, each
+scored with one product ``block @ m.T`` of at most ``SCAN_BLOCK`` values, on
+one BLAS thread. Either product only builds a shortlist: ``np.partition``
+finds the K-th best key, and the shortlist keeps every row whose key ties
+with or beats it (the tie closure), widened by a proven bound on the key's
+rounding error (see ``_margin``), so a row tied with the K-th is never cut
+off by its position or by the product's rounding. The shortlist is put in
+id order, rescored row by row with ``einsum("ij,j->i", m, q)`` (the sum of
+products that the row norms use), that over ``norms * |q|``, or
+``norm(m - q)``, and sorted stably by that score. Every returned score
+depends only on its row's bytes and the query, never on where the row sits,
+so identical rows tie exactly and go by id, and a query gets the same
+results, bit for bit, from either function and in any block.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ COSINE = "cosine"
 EUCLIDEAN = "euclidean"
 ALL_METRICS = (DOT, COSINE, EUCLIDEAN)
 EMBED_CHUNK = 32  # sequences per encoder forward pass, and per thread in flight
+SCAN_BLOCK = 2**20  # values in one block's product of queries and index rows (8 MB)
 
 
 class RetrievalError(ValueError):
@@ -126,15 +131,16 @@ class RetrievalResult:
     candidates: list[tuple[str, float]]  # (entity_id, score), best first
 
 
-# Shortlist margin. The GEMV y = m @ q only builds the shortlist: it gives
-# each row a key s_i, and the shortlist is rescored row by row into the key
-# d_i that is sorted (and, negated for dot and cosine, returned). Let u =
+# Shortlist margin. The product y = m @ q only builds the shortlist: it
+# gives each row a key s_i, and the shortlist is rescored row by row into the
+# key d_i that is sorted (and, negated for dot and cosine, returned). Let u =
 # 2**-53, P the width, g_P = Pu / (1 - Pu) and g = g_{P+8}. The dot-product
 # error bound |fl(x . y) - x . y| <= g_P |x| . |y| (Higham, Accuracy and
 # Stability of Numerical Algorithms, sec. 3.1; it holds for any summation
-# order, FMA or not) bounds both keys' distance from an exact t_i; the margin
-# is 5 g S for a scale S that each metric supplies. Let T be the K-th
-# smallest key s.
+# order, FMA or not) bounds both keys' distance from an exact t_i, so y may
+# come from top_k's GEMV or from a row of top_k_many's GEMM block, however
+# either splits its sums; the margin is 5 g S for a scale S that each metric
+# supplies. Let T be the K-th smallest key s.
 #
 # Dot and cosine: if |s_i - t_i| <= E and |d_i - t_i| <= E for every row,
 # the K rows with s <= T have d <= T + 2E, so the K-th smallest d is at most
@@ -151,7 +157,7 @@ class RetrievalResult:
 #       E <= g: S = 1 and 4E <= 4 g S.
 # Euclidean: s_i = fl(n_i**2) - 2 y_i; exactly, t_i = |m_i|**2 - 2 m_i . q =
 # |m_i - q|**2 - |q|**2. With R = max_i n_i + |q| and S = R**2,
-#   (a) |s_i - t_i| <= E = g R**2: the norm, its square, the GEMV and the
+#   (a) |s_i - t_i| <= E = g R**2: the norm, its square, the product and the
 #       subtraction are at most P+4 roundings of terms bounded by R**2;
 #   (b) the rescored d_i = fl(norm(fl(m_i - q))) has d_i**2 = |m_i - q|**2
 #       (1 + th) with |th| <= g: one subtraction and one square per entry,
@@ -176,36 +182,35 @@ def _margin(scale: float, width: int) -> float:
     return margin if np.finfo(np.float64).tiny <= margin < np.inf else np.inf
 
 
-def top_k(
-    index: EmbeddingIndex, query: np.ndarray, k: int, metric: str, mention_id: str = ""
-) -> RetrievalResult:
-    """Exact K best entities under the metric, ties by ascending entity id."""
-    m = index.matrix
-    n = m.shape[0]
+def _check(index: EmbeddingIndex, k: int, metric: str) -> None:
+    n = index.matrix.shape[0]
     if k > n:
         raise RetrievalError(f"K={k} exceeds index size {n}")
     if k < 1:
         raise RetrievalError(f"K={k} must be at least 1")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (m.shape[1],):
-        raise RetrievalError(
-            f"query dimension {query.shape} does not match index width {m.shape[1]}"
-        )
+    if metric not in ALL_METRICS:
+        raise RetrievalError(f"unknown metric {metric!r}")
+
+
+def _ranked(
+    index: EmbeddingIndex, query: np.ndarray, g: np.ndarray, k: int, metric: str, mention_id: str
+) -> RetrievalResult:
+    """The K best entities for ``query``, given ``g``: ``m @ query`` summed in
+    any order, which only builds the shortlist."""
+    m = index.matrix
     if metric == DOT:
-        key, scale = -(m @ query), index._max_abs * np.abs(query).sum()
+        key, scale = -g, index._max_abs * np.abs(query).sum()
     elif metric == COSINE:
         qn, norms = np.linalg.norm(query), index.row_norms()
         sizes = np.array([qn, norms.min(), norms.max()])
         if (sizes == 0.0).any():
             raise RetrievalError("cosine similarity undefined for a zero vector")
-        key = -(m @ query) / (norms * qn)
+        key = -g / (norms * qn)
         scale = 1.0 if ((2.0**-500 <= sizes) & (sizes <= 2.0**500)).all() else np.inf
-    elif metric == EUCLIDEAN:
+    else:
         norms = index.row_norms()
         r = float(norms.max()) + float(np.linalg.norm(query))
-        key, scale = norms * norms - 2.0 * (m @ query), r * r
-    else:
-        raise RetrievalError(f"unknown metric {metric!r}")
+        key, scale = norms * norms - 2.0 * g, r * r
     bound = np.partition(key, k - 1)[k - 1] + _margin(scale, len(query))
     # Tie closure: every row whose key ties with the K-th stays. A NaN key
     # (from a non-finite query) is never above the bound, so it stays too and
@@ -222,6 +227,48 @@ def top_k(
     best = np.argsort(scores if metric == EUCLIDEAN else -scores, kind="stable")[:k]
     ranked = zip(rows[best].tolist(), scores[best].tolist())
     return RetrievalResult(mention_id, [(index.entity_ids[r], s) for r, s in ranked])
+
+
+def top_k(
+    index: EmbeddingIndex, query: np.ndarray, k: int, metric: str, mention_id: str = ""
+) -> RetrievalResult:
+    """Exact K best entities under the metric, ties by ascending entity id.
+    One matrix-vector product on the caller's BLAS threads builds the
+    shortlist, so a single request is not held to one thread."""
+    _check(index, k, metric)
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (index.matrix.shape[1],):
+        raise RetrievalError(
+            f"query dimension {query.shape} does not match index width {index.matrix.shape[1]}"
+        )
+    return _ranked(index, query, index.matrix @ query, k, metric, mention_id)
+
+
+@blas.one_thread()
+def top_k_many(
+    index: EmbeddingIndex, queries: np.ndarray, k: int, metric: str, mention_ids: list[str]
+) -> list[RetrievalResult]:
+    """``top_k`` of each row of ``queries``, named by ``mention_ids``, in
+    order. Each block of queries is scored with one product ``block @ m.T`` of
+    at most ``SCAN_BLOCK`` values, on one BLAS thread (``blas.one_thread``): a
+    caller may hash or read on the other CPUs meanwhile. The results are
+    ``top_k``'s, bit for bit, since the product only builds shortlists."""
+    _check(index, k, metric)
+    m = index.matrix
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != m.shape[1]:
+        raise RetrievalError(
+            f"queries of shape {queries.shape} do not match index width {m.shape[1]}"
+        )
+    if len(mention_ids) != len(queries):
+        raise RetrievalError(f"{len(mention_ids)} mention ids for {len(queries)} queries")
+    step = max(1, SCAN_BLOCK // m.shape[0])
+    results = []
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
+        for query, g, mention_id in zip(block, block @ m.T, mention_ids[start : start + step]):
+            results.append(_ranked(index, query, g, k, metric, mention_id))
+    return results
 
 
 def _usable_cpus() -> int:

@@ -88,6 +88,25 @@ def test_encode_chunked_and_train_run_on_one_blas_thread(toy_world, toy_vocab, m
     assert seen and set(seen) == {1} and _threads() == before
 
 
+
+@needs_openblas
+def test_top_k_many_runs_on_one_blas_thread_and_top_k_on_the_callers(monkeypatch):
+    """A matrix of queries is scored on one BLAS thread; a single query keeps
+    the caller's count."""
+    before, seen, ranked = _threads(), [], R._ranked
+
+    def counted(*args):
+        seen.append(_threads())
+        return ranked(*args)
+
+    monkeypatch.setattr(R, "_ranked", counted)
+    index = R.EmbeddingIndex(["e1", "e2"], np.eye(2))
+    R.top_k_many(index, np.eye(2), 1, R.DOT, ["m1", "m2"])
+    assert seen == [1, 1] and _threads() == before
+    R.top_k(index, np.ones(2), 1, R.DOT)
+    assert seen == [1, 1, before]
+
+
 def test_a_mapped_path_that_is_not_utf8_is_no_error(tmp_path, monkeypatch):
     """A maps line whose path holds byte 0xff names no loadable OpenBLAS;
     the search goes on, and a block still runs."""

@@ -482,6 +482,57 @@ def test_top_k_equals_full_sort(seed, n, p, family):
                 assert a == pytest.approx(own[eid], rel=1e-9, abs=1e-12)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=60),
+    p=st.integers(min_value=1, max_value=16),
+    family=st.sampled_from(["duplicates", "near_ties", "tail_copies"]),
+)
+def test_top_k_many_equals_top_k(seed, n, p, family):
+    """Seven queries scanned in blocks of 1, 2 and 3 get, query by query, the
+    ids and score bits of ``top_k``: the planted query (first and sixth),
+    four rows of the index and a random vector."""
+    rng = np.random.default_rng(seed)
+    for metric in R.ALL_METRICS:
+        for k in sorted({1, (n + 1) // 2, n}):
+            ids, matrix, query = _planted(seed, n, p, family, metric, k)
+            queries = np.vstack([query, matrix[rng.integers(n, size=4)], query,
+                                 rng.normal(size=p)])
+            names = [f"m{i}" for i in range(len(queries))]
+            index = R.EmbeddingIndex(ids, matrix)
+            want = [R.top_k(index, q, k, metric, name) for q, name in zip(queries, names)]
+            for block in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(R, "SCAN_BLOCK", block * n)
+                    got = R.top_k_many(index, queries, k, metric, names)
+                assert [r.mention_id for r in got] == names
+                assert ([score_bits(r.candidates) for r in got]
+                        == [score_bits(r.candidates) for r in want])
+
+
+def test_top_k_many_of_no_queries_is_empty():
+    index = make_index(np.random.default_rng(24), n=5, p=3)
+    for metric in R.ALL_METRICS:
+        assert R.top_k_many(index, np.empty((0, 3)), 5, metric, []) == []
+
+
+@pytest.mark.parametrize("queries, k, metric, names, message", [
+    (np.ones((2, 4)), 1, R.DOT, ["a", "b"], r"queries of shape \(2, 4\)"),
+    (np.ones(3), 1, R.DOT, ["a"], r"queries of shape \(3,\)"),
+    (np.ones((2, 3)), 1, R.DOT, ["a"], "1 mention ids for 2 queries"),
+    (np.ones((2, 3)), 6, R.DOT, ["a", "b"], "exceeds index size"),
+    (np.ones((2, 3)), 0, R.DOT, ["a", "b"], "at least 1"),
+    (np.ones((2, 3)), 1, "manhattan", ["a", "b"], "unknown metric"),
+    (np.array([[1.0, 0, 0], [0, 0, 0]]), 1, R.COSINE, ["a", "b"], "zero vector"),
+])
+def test_top_k_many_refuses_bad_queries(queries, k, metric, names, message):
+    index = make_index(np.random.default_rng(25), n=5, p=3)
+    with pytest.raises(R.RetrievalError, match=message):
+        R.top_k_many(index, queries, k, metric, names)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
 def test_non_finite_query_ranks_like_a_full_sort(metric, bad):
@@ -500,6 +551,8 @@ def test_non_finite_query_ranks_like_a_full_sort(metric, bad):
         for k in (1, 7, n):
             got = R.top_k(index, query, k, metric).candidates
             assert score_bits(got) == score_bits(full_sort_top_k(ids, matrix, query, k, metric))
+            many = R.top_k_many(index, np.vstack([query, query]), k, metric, ["", ""])
+            assert [score_bits(r.candidates) for r in many] == [score_bits(got)] * 2
 
 
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
@@ -541,17 +594,21 @@ def test_a_score_depends_only_on_its_row(metric):
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
 def test_copy_in_the_gemv_tail_ties_by_id(metric):
     """Row 0 copied into row 102, the last of 103 (N mod 4 = 3): e000 (row
-    102) and e001 (row 0) tie, so e000 comes first, with the same score."""
+    102) and e001 (row 0) tie, so e000 comes first, with the same score, from
+    ``top_k`` and from ``top_k_many`` alike."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(103, 16))
         matrix[102] = matrix[0]
         ids = [f"e{i:03d}" for i in range(1, 103)] + ["e000"]
         query = rng.normal(size=16)
-        got = R.top_k(R.EmbeddingIndex(ids, matrix), query, 103, metric).candidates
-        at = [eid for eid, _ in got].index("e000")
-        assert got[at + 1][0] == "e001", seed
-        assert got[at][1].hex() == got[at + 1][1].hex(), seed
+        index = R.EmbeddingIndex(ids, matrix)
+        one = R.top_k(index, query, 103, metric).candidates
+        many = R.top_k_many(index, query[None, :], 103, metric, [""])[0].candidates
+        for got in (one, many):
+            at = [eid for eid, _ in got].index("e000")
+            assert got[at + 1][0] == "e001", seed
+            assert got[at][1].hex() == got[at + 1][1].hex(), seed
 
 
 def test_row_norms_are_lazy_and_memoised():
