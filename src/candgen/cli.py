@@ -124,6 +124,17 @@ def _check_k(k: int, entity_count: int) -> None:
         raise SystemExit(f"--k {k} must lie in [1, {entity_count}], the number of entities")
 
 
+def _k_values(text: str) -> list[int]:
+    """The K values of ``--ks``: comma-separated integers, each at least 1."""
+    try:
+        ks = [int(k) for k in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated integers") from None
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"K={min(ks)} must be at least 1")
+    return ks
+
+
 def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
     """Both encoders trained on ``world``; returns (encoder config, TrainResult)."""
     enc_cfg = EncoderConfig(
@@ -294,10 +305,10 @@ def cmd_eval(args):
             f"{args.results} has no rows for {len(missing)} of the {len(gold)} "
             f"mentions in {args.mentions} (first: {missing[0]})"
         )
-    ks = [int(k) for k in args.ks.split(",")]
-    report = evaluation.build_report(results, gold, worlds, ks, metric=args.metric)
+    report = evaluation.build_report(results, gold, worlds, args.ks, metric=args.metric)
     evaluation.write_report(report, args.out + ".report", args.out + ".curve")
-    _write_manifest(args.out + ".manifest", args, [args.results, args.mentions])
+    _write_manifest(args.out + ".manifest", args, [args.results, args.mentions],
+                    ks=",".join(map(str, args.ks)))
     for k, acc in report.curve():
         print(f"accuracy@{k}\t{acc:.6f}")
     return 0
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="top-K accuracy report from results")
     p.add_argument("--results", required=True, help="retrieve output TSV")
     p.add_argument("--mentions", required=True, help="gold mention file")
-    p.add_argument("--ks", default=",".join(map(str, evaluation.DEFAULT_K_GRID)))
+    p.add_argument("--ks", type=_k_values, default=",".join(map(str, evaluation.DEFAULT_K_GRID)))
     p.add_argument("--metric", default="", help="checked against the results' manifest")
     p.add_argument("--out", required=True, help="report file prefix")
     p.set_defaults(func=cmd_eval)

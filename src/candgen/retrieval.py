@@ -14,11 +14,11 @@ with or beats it (the tie closure), widened by a proven bound on the key's
 rounding error (see ``_margin``), so a row tied with the K-th is never cut
 off by its position or by the product's rounding. The shortlist is put in
 id order, rescored row by row with ``einsum("ij,j->i", m, q)`` (the sum of
-products that the row norms use), that over ``norms * |q|``, or
-``norm(m - q)``, and sorted stably by that score. Every returned score
-depends only on its row's bytes and the query, never on where the row sits,
-so identical rows tie exactly and go by id, and a query gets the same
-results, bit for bit, from either function and in any block.
+products that gave the row norms when the index was made), that over
+``norms * |q|``, or ``norm(m - q)``, and sorted stably by that score. Every
+returned score depends only on its row's bytes and the query, never on
+where the row sits, so identical rows tie exactly and go by id, and a query
+gets the same results, bit for bit, from either function and in any block.
 """
 
 from __future__ import annotations
@@ -78,24 +78,22 @@ def _check_ids(ids: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class EmbeddingIndex:
-    """Row i of ``matrix`` embeds entity ``entity_ids[i]``. The constructor is
-    the one check of a valid index, and the index cannot be changed through
-    its fields: the ids are a tuple, and the matrix (not copied if already
-    C-ordered float64) is made read-only. Writes through a writable array
-    that the given matrix is a view of are not prevented."""
+    """Row i of ``matrix`` embeds entity ``entity_ids[i]`` and has the norm
+    ``norms[i]``. The constructor is the one check of a valid index, and the
+    index cannot be changed through its fields: the ids are a tuple, and the
+    matrix (not copied if already C-ordered float64) and norms are read-only.
+    Writes through a writable array that the matrix views are not prevented."""
 
     entity_ids: tuple[str, ...]
     matrix: np.ndarray  # (N, P)
     pooling_kind: str = pooling.CLS
     use_entity_type: bool = False
-
-    _norms: np.ndarray | None = field(default=None, init=False, repr=False)
-    _max_abs: float = field(default=0.0, init=False, repr=False)  # max |m_ij|, for ``_margin``
+    norms: np.ndarray = field(init=False, repr=False)  # (N,)
 
     def __post_init__(self):
-        # C order keeps each row's einsum norm the same as that row's alone,
-        # whatever the order of the given matrix, so scores depend only on rows.
         ids, matrix = tuple(self.entity_ids), np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise RetrievalError(f"embedding matrix of shape {matrix.shape} is not 2-D")
         if len(ids) != matrix.shape[0]:
             raise RetrievalError("entity ids not aligned with matrix rows")
         _check_ids(ids)
@@ -103,26 +101,18 @@ class EmbeddingIndex:
             raise RetrievalError(f"unknown pooling {self.pooling_kind!r}")
         if not isinstance(self.use_entity_type, bool):
             raise RetrievalError("use_entity_type must be true or false")
-        # min and max carry any NaN or infinity, with no (N, P) temporary: one
-        # that size, once freed, raises glibc's dynamic mmap and trim thresholds,
-        # and every later working set below them then stays resident.
-        extremes = np.array([matrix.min(), matrix.max()] if matrix.size else [0.0])
-        if not np.isfinite(extremes).all():
+        # One einsum pass, with no (N, P) temporary (one that size, once freed,
+        # raises glibc's dynamic mmap and trim thresholds, and every later
+        # working set below them stays resident); in C order a row's norm is
+        # that of the row alone. A NaN or infinity makes its row's norm NaN or
+        # infinite, as overflow can a finite row's: only those rows are checked.
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        if not np.isfinite(matrix[~np.isfinite(norms)]).all():
             raise RetrievalError("non-finite embedding row")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "_max_abs", float(np.abs(extremes).max()))
+        matrix.flags.writeable = norms.flags.writeable = False
         object.__setattr__(self, "entity_ids", ids)
         object.__setattr__(self, "matrix", matrix)
-
-    def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every row, computed on first use and kept
-        read-only: one einsum pass, with no (N, P) temporary, in which each
-        row's norm depends only on that row."""
-        if self._norms is None:
-            norms = np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix))
-            norms.flags.writeable = False
-            object.__setattr__(self, "_norms", norms)
-        return self._norms
+        object.__setattr__(self, "norms", norms)
 
 
 @dataclass
@@ -140,21 +130,22 @@ class RetrievalResult:
 # order, FMA or not) bounds both keys' distance from an exact t_i, so y may
 # come from top_k's GEMV or from a row of top_k_many's GEMM block, however
 # either splits its sums; the margin is 5 g S for a scale S that each metric
-# supplies. Let T be the K-th smallest key s.
+# supplies. Let T be the K-th smallest key s, and n_i the row norm that the
+# index holds. While n_i and |q| lie in [2**-500, 2**500], they are within
+# g_P / 2 + u of |m_i| and |q|.
 #
 # Dot and cosine: if |s_i - t_i| <= E and |d_i - t_i| <= E for every row,
 # the K rows with s <= T have d <= T + 2E, so the K-th smallest d is at most
 # T + 2E, and a row j whose d_j ties with or beats it has t_j <= T + 3E and
 # s_j <= T + 4E.
-#   dot: s_i = -y_i, d_i = -fl(sum_j m_ij q_j) and t_i = -m_i . q, so E =
-#       g_P M |q|_1 with M = max |m_ij| (from the min and max the index takes
-#       when it is made) and S = fl(M fl(|q|_1)) >= (1 - g_P) M |q|_1: 4E < 4 g S.
+#   dot: s_i = -y_i, d_i = -fl(sum_j m_ij q_j) and t_i = -m_i . q, so by
+#       Cauchy-Schwarz E = g_P N |q| with N = max_i |m_i|. While max_i n_i and
+#       |q| lie in that range, so does N up to rounding, and S = fl(max_i n_i
+#       fl(|q|)) >= (1 - g_P - 3u) N |q|: 4E < 4 g S.
 #   cosine: s_i = -y_i / D_i and d_i = -fl(sum_j m_ij q_j) / D_i divide by
-#       the same bits D_i = fl(n_i fl(|q|)), n_i the memoised row norm; t_i =
-#       -m_i . q / D_i. While every n_i and |q| lie in [2**-500, 2**500], the
-#       norms are within g_P / 2 + u of |m_i| and |q|, so D_i >= (1 - g_P -
-#       3u) |m_i| |q|, and by Cauchy-Schwarz and one rounding of the quotient
-#       E <= g: S = 1 and 4E <= 4 g S.
+#       the same bits D_i = fl(n_i fl(|q|)); t_i = -m_i . q / D_i. While all
+#       n_i and |q| lie in that range, D_i >= (1 - g_P - 3u) |m_i| |q|, and by
+#       Cauchy-Schwarz and one rounding of the quotient E <= g: S = 1, 4E <= 4 g S.
 # Euclidean: s_i = fl(n_i**2) - 2 y_i; exactly, t_i = |m_i|**2 - 2 m_i . q =
 # |m_i - q|**2 - |q|**2. With R = max_i n_i + |q| and S = R**2,
 #   (a) |s_i - t_i| <= E = g R**2: the norm, its square, the product and the
@@ -173,13 +164,11 @@ class RetrievalResult:
 # every product or square that underflowed (each is off by under 2**-1074,
 # which over a cosine D_i > 2**-1001 is under 2**-20 g / P). Outside those
 # ranges the margin is infinite and every row is rescored.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _margin(scale: float, width: int) -> float:
-    w = (width + 8) * _UNIT_ROUNDOFF
+def _margin(scale: float, width: int, *norms: float) -> float:
+    w = (width + 8) * 2.0**-53  # (P + 8) u
     margin = 5.0 * w / (1.0 - w) * scale
-    return margin if np.finfo(np.float64).tiny <= margin < np.inf else np.inf
+    proven = all(2.0**-500 <= n <= 2.0**500 for n in norms)  # False on a NaN
+    return margin if proven and np.finfo(np.float64).tiny <= margin < np.inf else np.inf
 
 
 def _check(index: EmbeddingIndex, k: int, metric: str) -> None:
@@ -197,21 +186,18 @@ def _ranked(
 ) -> RetrievalResult:
     """The K best entities for ``query``, given ``g``: ``m @ query`` summed in
     any order, which only builds the shortlist."""
-    m = index.matrix
+    m, norms = index.matrix, index.norms
+    qn, top = float(np.linalg.norm(query)), float(norms.max())
     if metric == DOT:
-        key, scale = -g, index._max_abs * np.abs(query).sum()
+        key, scale, sizes = -g, top * qn, (top, qn)
     elif metric == COSINE:
-        qn, norms = np.linalg.norm(query), index.row_norms()
-        sizes = np.array([qn, norms.min(), norms.max()])
-        if (sizes == 0.0).any():
+        sizes = (float(norms.min()), top, qn)
+        if 0.0 in sizes:
             raise RetrievalError("cosine similarity undefined for a zero vector")
-        key = -g / (norms * qn)
-        scale = 1.0 if ((2.0**-500 <= sizes) & (sizes <= 2.0**500)).all() else np.inf
+        key, scale = -g / (norms * qn), 1.0
     else:
-        norms = index.row_norms()
-        r = float(norms.max()) + float(np.linalg.norm(query))
-        key, scale = norms * norms - 2.0 * g, r * r
-    bound = np.partition(key, k - 1)[k - 1] + _margin(scale, len(query))
+        key, scale, sizes = norms * norms - 2.0 * g, (top + qn) * (top + qn), ()
+    bound = np.partition(key, k - 1)[k - 1] + _margin(scale, len(query), *sizes)
     # Tie closure: every row whose key ties with the K-th stays. A NaN key
     # (from a non-finite query) is never above the bound, so it stays too and
     # sorts last, as in a full sort. Only the shortlist is put in id order, and

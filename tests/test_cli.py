@@ -726,11 +726,28 @@ def test_experiment_rejects_bad_flags_before_training(
 
 def test_eval_rejects_k_below_one(pipeline, toy_files, capsys):
     out = str(pipeline["out"] / "badks")
-    code = main(["eval", "--results", pipeline["results"], "--mentions", toy_files["mentions"],
-                 "--ks=-1,0,1", "--out", out])
-    assert code == 1
-    assert "K=-1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--results", pipeline["results"], "--mentions", toy_files["mentions"],
+              "--ks=-1,0,1", "--out", out])
+    assert exc.value.code == 2
+    assert "argument --ks: K=-1 must be at least 1" in capsys.readouterr().err
     assert not os.path.exists(out + ".report")
+
+
+@pytest.mark.parametrize("ks, message", [
+    ("1,x", "'1,x' is not comma-separated integers"),
+    ("", "'' is not comma-separated integers"),
+    ("0", "K=0 must be at least 1"),
+])
+def test_eval_refuses_bad_ks_by_flag_before_reading_results(toy_files, tmp_path, capsys, ks,
+                                                            message):
+    """--ks is refused as a flag, before the (here absent) results are read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--results", str(tmp_path / "absent.tsv"), "--mentions",
+              toy_files["mentions"], f"--ks={ks}", "--out", str(tmp_path / "eval")])
+    assert exc.value.code == 2
+    assert f"argument --ks: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def _small_vocab(pipeline, toy_files, tmp_path):

@@ -384,8 +384,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
 
 def test_index_cannot_be_changed():
     """The ids are a tuple and the matrix, kept without a copy, is read-only,
-    so neither the index nor its builder can move rows under the memoised
-    norms, and save_index always writes what load_index reads."""
+    so neither the index nor its builder can move rows under the norms, and
+    save_index always writes what load_index reads."""
     matrix = np.array([[3.0, 4.0], [1.0, 0.0]])
     index = R.EmbeddingIndex(["e1", "e2"], matrix)
     assert index.matrix is matrix and not matrix.flags.writeable
@@ -396,7 +396,7 @@ def test_index_cannot_be_changed():
     with pytest.raises(ValueError, match="read-only"):
         matrix[1] = [10.0, 0.0]
     with pytest.raises(ValueError, match="read-only"):
-        index.row_norms()[1] = 0.1
+        index.norms[1] = 0.1
     with pytest.raises(FrozenInstanceError):
         index.pooling_kind = "bogus"
     assert R.top_k(index, np.array([1.0, 0.0]), 1, R.COSINE).candidates == [("e2", 1.0)]
@@ -423,6 +423,54 @@ def test_misaligned_index_rejected():
         with pytest.raises(R.RetrievalError, match="non-finite"):
             R.EmbeddingIndex(["e1", "e2"], matrix)
     R.EmbeddingIndex([], np.zeros((0, 2)))  # an empty index has nothing to check
+
+
+@pytest.mark.parametrize("matrix", [np.array([1.0, 2.0]), np.ones((2, 2, 2))])
+def test_matrix_that_is_not_2d_rejected(matrix):
+    with pytest.raises(R.RetrievalError, match=re.escape(f"shape {matrix.shape} is not 2-D")):
+        R.EmbeddingIndex(["e0", "e1"], matrix)
+
+
+def _extreme_rows(rng, entry):
+    """Fourteen rows of width 5 under shuffled ids: rows 5 and 13 (the last)
+    hold ``entry`` values of random sign, the others normal values."""
+    matrix = rng.normal(size=(14, 5))
+    matrix[[5, 13]] = entry * rng.choice([-1.0, 1.0], size=(2, 5))
+    return [f"e{i:02d}" for i in rng.permutation(14)], matrix
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 5, 13], ids=["normal_row", "row_of_1e200", "last_row"])
+def test_non_finite_value_rejected_in_any_row(bad, row):
+    """Beside rows whose norm overflows (row 5 and the last), a NaN or an
+    infinity is refused wherever it sits."""
+    ids, matrix = _extreme_rows(np.random.default_rng(row), 1e200)
+    matrix[row, 2] = bad
+    with pytest.raises(R.RetrievalError, match="non-finite embedding row"):
+        R.EmbeddingIndex(ids, matrix)
+
+
+@pytest.mark.parametrize("entry", [1e200, 1e-200], ids=["norm_overflows", "norm_underflows"])
+@pytest.mark.parametrize("metric", R.ALL_METRICS)
+def test_finite_rows_of_extreme_size_accepted(entry, metric):
+    """A finite row is valid however its norm rounds, and then every metric
+    ranks like a full sort, except cosine, which refuses a row whose norm is
+    zero."""
+    rng = np.random.default_rng(23)
+    ids, matrix = _extreme_rows(rng, entry)
+    index = R.EmbeddingIndex(ids, matrix)
+    queries = rng.normal(size=(3, 5))
+    if metric == R.COSINE and entry == 1e-200:
+        for query in queries:
+            with pytest.raises(R.RetrievalError, match="zero vector"):
+                R.top_k(index, query, 14, metric)
+        return
+    for k in (4, 14):
+        many = R.top_k_many(index, queries, k, metric, ["m0", "m1", "m2"])
+        for query, got in zip(queries, many):
+            want = score_bits(full_sort_top_k(ids, matrix, query, k, metric))
+            assert score_bits(R.top_k(index, query, k, metric).candidates) == want
+            assert score_bits(got.candidates) == want
 
 
 def test_repeated_entity_ids_rejected():
@@ -611,15 +659,16 @@ def test_copy_in_the_gemv_tail_ties_by_id(metric):
             assert got[at][1].hex() == got[at + 1][1].hex(), seed
 
 
-def test_row_norms_are_lazy_and_memoised():
-    rng = np.random.default_rng(17)
-    index = make_index(rng, n=30, p=4)
-    R.top_k(index, rng.normal(size=4), 5, R.DOT)
-    assert index._norms is None
-    norms = index.row_norms()
-    assert index.row_norms() is norms
-    np.testing.assert_array_equal(norms, einsum_norms(index.matrix))
-    np.testing.assert_allclose(norms, np.linalg.norm(index.matrix, axis=1), rtol=1e-15, atol=0)
+def test_row_norms_are_set_once_and_read_only(tmp_path):
+    """The constructor computes every row's norm, for every metric; an index
+    read by load_index goes through it too."""
+    index = make_index(np.random.default_rng(17), n=30, p=4)
+    R.save_index(index, str(tmp_path / "idx"))
+    for got in (index, R.load_index(str(tmp_path / "idx"))):
+        np.testing.assert_array_equal(got.norms, einsum_norms(got.matrix))
+        np.testing.assert_allclose(got.norms, np.linalg.norm(got.matrix, axis=1), rtol=1e-15,
+                                   atol=0)
+        assert not got.norms.flags.writeable
 
 
 def test_non_c_order_matrix_scored_like_c_order():
@@ -644,7 +693,7 @@ def test_cosine_zero_vectors_rejected_on_every_call():
     with pytest.raises(R.RetrievalError, match="zero vector"):
         R.top_k(zero_row, np.ones(2), 1, R.COSINE)
     assert R.top_k(zero_row, np.ones(2), 1, R.EUCLIDEAN).candidates[0][0] == "e1"
-    with pytest.raises(R.RetrievalError, match="zero vector"):  # norms now memoised
+    with pytest.raises(R.RetrievalError, match="zero vector"):
         R.top_k(zero_row, np.ones(2), 1, R.COSINE)
 
 
