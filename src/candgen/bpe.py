@@ -115,14 +115,6 @@ class Vocabulary:
     def unk_id(self) -> int:
         return _SPECIAL_ID["[UNK]"]
 
-    @property
-    def cls_id(self) -> int:
-        return _SPECIAL_ID["[CLS]"]
-
-    @property
-    def sep_id(self) -> int:
-        return _SPECIAL_ID["[SEP]"]
-
     def special_id(self, token: str) -> int:
         if token not in _SPECIAL_ID:
             raise TokenizerError(f"{token!r} is not a special token")

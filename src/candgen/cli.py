@@ -83,15 +83,16 @@ def _load_world(args, types_file: str | None) -> World:
     entities = load_entities(args.entities, world="_")
     mentions = load_mentions(args.mentions)
     documents = documents_from_entities(
-        load_entities(args.documents or args.entities, world="_")
+        load_entities(args.documents, world="_") if args.documents else entities
     )
     validate_mentions(mentions, documents, {e.entity_id for e in entities})
     return _typed(World(entities, documents, mentions), types_file)
 
 
-def _load_model(args):
+def _load_model(args, *recorded):
     """The vocabulary and the --checkpoint encoder, refused unless they agree
-    on the vocabulary size."""
+    on the vocabulary size, and unless the checkpoint agrees with the flags
+    and with the (name, index) pairs in ``recorded`` (``_agree``)."""
     vocab = Vocabulary.load(*_vocab_files(args))
     enc_cfg, params = load_checkpoint(args.checkpoint)
     if enc_cfg.vocab_size != len(vocab):
@@ -99,6 +100,7 @@ def _load_model(args):
             f"{args.checkpoint} was trained with a {enc_cfg.vocab_size}-token "
             f"vocabulary, but {args.vocab}.vocab holds {len(vocab)} tokens"
         )
+    _agree(args, *recorded, (f"checkpoint {args.checkpoint}", enc_cfg))
     return vocab, enc_cfg, params
 
 
@@ -201,7 +203,6 @@ def cmd_train(args):
 def cmd_embed(args):
     types_file = _types_file(args)
     vocab, enc_cfg, params_e = _load_model(args)
-    _agree(args, (f"checkpoint {args.checkpoint}", enc_cfg))
     entities = load_entities(args.entities, world="_")
     entities = _typed(World(entities, {}), types_file).entities
     index = retrieval.build_index(entities, params_e, enc_cfg, vocab)
@@ -216,8 +217,7 @@ def cmd_retrieve(args):
     try:
         index = retrieval.load_index(args.index, digests)
         _check_k(args.k, len(index.entity_ids))
-        vocab, enc_cfg, params_m = _load_model(args)
-        _agree(args, (f"index {args.index}", index), (f"checkpoint {args.checkpoint}", enc_cfg))
+        vocab, enc_cfg, params_m = _load_model(args, (f"index {args.index}", index))
         mentions = load_mentions(args.mentions)
         documents = documents_from_entities(load_entities(args.documents, world="_"))
         validate_spans(mentions, documents)

@@ -48,14 +48,14 @@ class RetrievalError(ValueError):
 
 
 def _check_ids(ids: tuple[str, ...]) -> None:
-    """Refuse an id that names more than one row, holds a TAB, CR or LF, or
-    cannot be encoded as UTF-8, so that every id can be written to a results
-    file and read back. Valid ids pass on the joined string alone; only
-    invalid ones are looked at one by one, to name the first bad one."""
-    joined = "\t".join(ids)
+    """Refuse an id that is not a string, names more than one row, holds a TAB,
+    CR or LF, or cannot be encoded as UTF-8, so that every id can be written to
+    a results file and read back. Valid ids pass on the joined string alone;
+    only invalid ones are looked at one by one, to name the first bad one."""
     try:
+        joined = "\t".join(ids)
         joined.encode("utf-8")
-    except UnicodeEncodeError:
+    except (TypeError, UnicodeEncodeError):
         pass
     else:
         if (joined.count("\t") == len(ids) - 1 and "\r" not in joined
@@ -63,6 +63,8 @@ def _check_ids(ids: tuple[str, ...]) -> None:
             return
     seen: set[str] = set()
     for i in ids:
+        if not isinstance(i, str):
+            raise RetrievalError(f"entity id {i!r} is not a string")
         if "\t" in i or "\r" in i or "\n" in i:
             raise RetrievalError(f"entity id {i!r} holds a TAB, CR or LF")
         try:
@@ -104,10 +106,11 @@ class EmbeddingIndex:
         # One einsum pass, with no (N, P) temporary (one that size, once freed,
         # raises glibc's dynamic mmap and trim thresholds, and every later
         # working set below them stays resident); in C order a row's norm is
-        # that of the row alone. A NaN or infinity makes its row's norm NaN or
-        # infinite, as overflow can a finite row's: only those rows are checked.
+        # that of the row alone. Every metric reads the norm, so a row is valid
+        # only if its norm is finite: this refuses a NaN or an infinity, and
+        # finite entries too large to square (about 1e154 and up).
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        if not np.isfinite(matrix[~np.isfinite(norms)]).all():
+        if not np.isfinite(norms).all():
             raise RetrievalError("non-finite embedding row")
         matrix.flags.writeable = norms.flags.writeable = False
         object.__setattr__(self, "entity_ids", ids)
@@ -332,8 +335,8 @@ def save_index(index: EmbeddingIndex, prefix: str) -> None:
 
 def _value_count(header: dict) -> int:
     ids, width = header.get("ids"), header.get("width")
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
-        raise RetrievalError("index ids must be a list of strings")
+    if not isinstance(ids, list):
+        raise RetrievalError("index ids must be a list")
     if type(width) is not int or width < 1:
         raise RetrievalError(f"index width {width!r} must be a positive integer")
     return len(ids) * width

@@ -82,22 +82,18 @@ def toy_vocabulary(world: World, vocab_size: int = 400):
     return train_bpe(texts, vocab_size)
 
 
-def write_world_files(
-    world: World, entities_path, mentions_path, documents_path=None, types_path=None
-):
+def write_world_files(world: World, entities_path, mentions_path, documents_path, types_path=None):
     """Dump a world in Zeshel-format files.
 
     ``documents_path`` gets every context document (dictionary entries
-    included); when omitted the dictionary file must cover all contexts.
+    included).
     """
     entities_to_jsonl(world.entities, entities_path)
     mentions_to_jsonl(world.mentions, mentions_path)
-    if documents_path is not None:
-        docs = world.documents
-        entities_to_jsonl(
-            (EntityRecord(d, d, " ".join(docs[d]), "_") for d in sorted(docs)),
-            documents_path,
-        )
+    docs = world.documents
+    entities_to_jsonl(
+        (EntityRecord(d, d, " ".join(docs[d]), "_") for d in sorted(docs)), documents_path
+    )
     if types_path is not None:
         labels = DEFAULT_ENTITY_TYPE_LABELS
         with open(types_path, "w", encoding="utf-8") as f:

@@ -233,8 +233,8 @@ class GradCheckReport:
     worst_param: str
     worst_side: str
 
-    def ok(self, threshold: float = 1e-4) -> bool:
-        return self.max_rel_error < threshold
+    def ok(self) -> bool:
+        return self.max_rel_error < 1e-4
 
 
 def gradient_check(

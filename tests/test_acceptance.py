@@ -55,7 +55,7 @@ def test_criterion_1_gradient_correctness(capsys, char_vocab):
                 params_m, params_e, replace(cfg, pooling_kind=kind), mention_seqs,
                 entity_seqs, samples_per_tensor=8,
             )
-            assert report.ok(1e-4), (kind, report.max_rel_error, report.worst_param)
+            assert report.ok(), (kind, report.max_rel_error, report.worst_param)
         assert time.time() - start < 60.0
         ok = True
     finally:

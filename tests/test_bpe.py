@@ -114,7 +114,7 @@ def test_unknown_characters_map_to_unk():
 def test_decode_examples():
     vocab = train_bpe(["hello world"], len(SPECIALS) + 40)
     assert vocab.decode([]) == ""
-    assert vocab.decode([vocab.cls_id]) == "[CLS]"
+    assert vocab.decode([vocab.special_id("[CLS]")]) == "[CLS]"
     assert vocab.decode(vocab.encode("hello world")) == "hello world"
 
 

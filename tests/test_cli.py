@@ -703,6 +703,28 @@ def test_experiment_reads_its_world_once(toy_files, tmp_path, monkeypatch):
     assert read == [toy_files["mentions"]]
 
 
+def test_train_without_documents_reads_its_entities_once(toy_files, tmp_path, monkeypatch):
+    """Without --documents, the context documents are the entities already
+    loaded, so the entities file (here one that holds every context) is
+    parsed once, before any training."""
+    from candgen import training
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    vocab, read, real_load = _quick_vocab(toy_files, tmp_path), [], cli.load_entities
+    monkeypatch.setattr(cli, "load_entities",
+                        lambda path, world: read.append(path) or real_load(path, world=world))
+    monkeypatch.setattr(training, "train", stop)
+    with pytest.raises(Stop):
+        main(["train", "--entities", toy_files["documents"], "--mentions", toy_files["mentions"],
+              "--vocab", vocab, "--out", str(tmp_path / "model"), *EXPERIMENT_TINY])
+    assert read == [toy_files["documents"]]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--entity-types", "off", "--k", "3"], "needs --entity-types"),
     (["--seeds", "0", "--k", "3"], "--seeds 0"),

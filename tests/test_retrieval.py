@@ -279,7 +279,8 @@ _ODD_IDS = ["", "\x85", "\u2028", "\x0b", "é\u4e2d\U0001f600", "a b"]
     n=st.integers(1, 30),
     p=st.integers(1, 8),
     seed=st.integers(0, 2**32 - 1),
-    specials=st.lists(st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308]), max_size=6),
+    specials=st.lists(st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308, np.nan, np.inf]),
+                      max_size=6),
     text_ids=st.lists(st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n")), max_size=30,
                       unique=True),
     planted=st.lists(st.sampled_from(_ODD_IDS), max_size=3, unique=True),
@@ -293,9 +294,11 @@ def test_index_round_trip_property(
     tmp_path_factory, n, p, seed, specials, text_ids, planted, kind, use_types, bad_kind,
     bad_types,
 ):
-    """Every index loads back unchanged. The same ids and rows with an
-    unknown pooling, or a type mode that is not a bool, are refused where
-    the index is made, and the refused matrix is left writable."""
+    """A matrix with a row whose norm is not finite is refused, and its rows
+    whose norms are finite make an index that loads back unchanged. The same
+    ids and rows with an unknown pooling, or a type mode that is not a bool,
+    are refused where the index is made, and a refused matrix is left
+    writable."""
     ids = list(dict.fromkeys(planted + text_ids))
     ids = (ids + [f"pad{i}" for i in range(n) if f"pad{i}" not in ids])[:n]
     rng = np.random.default_rng(seed)
@@ -305,6 +308,13 @@ def test_index_round_trip_property(
         with pytest.raises(R.RetrievalError, match="pooling|use_entity_type"):
             R.EmbeddingIndex(ids, matrix, **bad)
         assert matrix.flags.writeable
+    finite = np.isfinite(einsum_norms(matrix))
+    if not finite.all():
+        with pytest.raises(R.RetrievalError, match="non-finite embedding row"):
+            R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
+        assert matrix.flags.writeable
+        ids, matrix = [i for i, keep in zip(ids, finite) if keep], matrix[finite]
+        n = len(ids)
     index = R.EmbeddingIndex(ids, matrix, pooling_kind=kind, use_entity_type=use_types)
     prefix = str(tmp_path_factory.mktemp("idx") / "idx")
     R.save_index(index, prefix)
@@ -378,6 +388,8 @@ def test_load_index_refuses_bad_files(tmp_path, case):
         assert "embed" in str(err.value)
     if case == "repeated_id":
         assert repr(header["ids"][1]) in str(err.value)
+    if case == "ids_not_strings":
+        assert "entity id 7 is not a string" in str(err.value)
     if case in _UNWRITABLE_IDS:
         assert repr(_UNWRITABLE_IDS[case]) in str(err.value)
 
@@ -439,28 +451,45 @@ def _extreme_rows(rng, entry):
     return [f"e{i:02d}" for i in rng.permutation(14)], matrix
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None])
 @pytest.mark.parametrize("row", [0, 5, 13], ids=["normal_row", "row_of_1e200", "last_row"])
 def test_non_finite_value_rejected_in_any_row(bad, row):
-    """Beside rows whose norm overflows (row 5 and the last), a NaN or an
-    infinity is refused wherever it sits."""
+    """A row whose norm is not finite is refused. Row 5 and the last hold
+    finite entries too large to square, and are refused alone (``None``), as
+    is a NaN or an infinity planted beside them in any row."""
     ids, matrix = _extreme_rows(np.random.default_rng(row), 1e200)
-    matrix[row, 2] = bad
+    if bad is not None:
+        matrix[row, 2] = bad
     with pytest.raises(R.RetrievalError, match="non-finite embedding row"):
         R.EmbeddingIndex(ids, matrix)
 
 
-@pytest.mark.parametrize("entry", [1e200, 1e-200], ids=["norm_overflows", "norm_underflows"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_row_whose_norm_is_not_finite_rejected_beside_finite_rows(bad, row):
+    """Among rows whose norms are finite, extreme ones included, one entry
+    that is a NaN, an infinity or too large to square is refused in any row.
+    Rows such as (1e200, 0) were once accepted, and cosine then scored them
+    0.0 and euclidean inf."""
+    matrix = np.array([[1e150, 0.0], [-3e-300, 5e-324], [0.0, 1.0]])
+    R.EmbeddingIndex(["b", "a", "c"], matrix.copy())
+    matrix[row, 0] = bad
+    with pytest.raises(R.RetrievalError, match="non-finite embedding row"):
+        R.EmbeddingIndex(["b", "a", "c"], matrix)
+    assert matrix.flags.writeable
+
+
+@pytest.mark.parametrize("entry", [1e-200], ids=["norm_underflows"])
 @pytest.mark.parametrize("metric", R.ALL_METRICS)
 def test_finite_rows_of_extreme_size_accepted(entry, metric):
-    """A finite row is valid however its norm rounds, and then every metric
+    """A finite row is valid however small its norm, and then every metric
     ranks like a full sort, except cosine, which refuses a row whose norm is
-    zero."""
+    zero. (Rows too large to square are refused: see above.)"""
     rng = np.random.default_rng(23)
     ids, matrix = _extreme_rows(rng, entry)
     index = R.EmbeddingIndex(ids, matrix)
     queries = rng.normal(size=(3, 5))
-    if metric == R.COSINE and entry == 1e-200:
+    if metric == R.COSINE:
         for query in queries:
             with pytest.raises(R.RetrievalError, match="zero vector"):
                 R.top_k(index, query, 14, metric)
@@ -477,6 +506,13 @@ def test_repeated_entity_ids_rejected():
     # Two rows named e1 would let top_k return e1 twice.
     with pytest.raises(R.RetrievalError, match="'e2'"):
         R.EmbeddingIndex(["e1", "e2", "e3", "e2", "e1"], np.ones((5, 2)))
+
+
+@pytest.mark.parametrize("ids", [[1, 2], ["a", None], [b"a", b"b"]], ids=["ints", "none", "bytes"])
+def test_id_that_is_not_a_string_rejected_by_name(ids):
+    bad = next(i for i in ids if not isinstance(i, str))
+    with pytest.raises(R.RetrievalError, match=re.escape(f"entity id {bad!r} is not a string")):
+        R.EmbeddingIndex(ids, np.eye(2))
 
 
 def _planted(seed, n, p, family, metric, k):

@@ -29,8 +29,8 @@ def test_basic_mention_layout(char_vocab):
     v = char_vocab
     seq = build_mention_sequence(mention(1, 1), ["a", "b", "c"], v, max_len=8)
     expected = [
-        v.cls_id, tok(v, "a"), v.special_id("[Ms]"), tok(v, "b"),
-        v.special_id("[Me]"), tok(v, "c"), v.sep_id, v.pad_id,
+        v.special_id("[CLS]"), tok(v, "a"), v.special_id("[Ms]"), tok(v, "b"),
+        v.special_id("[Me]"), tok(v, "c"), v.special_id("[SEP]"), v.pad_id,
     ]
     assert seq.ids.tolist() == expected
     assert seq.attn_len == 7
@@ -45,9 +45,9 @@ def test_typed_mention_layout(char_vocab):
         use_entity_type=True,
     )
     expected = [
-        v.cls_id, v.special_id("[PERSON]"), tok(v, "b"), v.special_id("[H_SEP]"),
+        v.special_id("[CLS]"), v.special_id("[PERSON]"), tok(v, "b"), v.special_id("[H_SEP]"),
         tok(v, "a"), v.special_id("[Ms]"), tok(v, "b"), v.special_id("[Me]"),
-        tok(v, "c"), v.sep_id,
+        tok(v, "c"), v.special_id("[SEP]"),
     ]
     assert seq.ids.tolist() == expected
     assert seq.special_indices == [0, 1, 3, 5, 7, 9]  # type token right after [CLS]
@@ -77,7 +77,7 @@ def test_mention_markers_survive_even_when_mention_truncated(char_vocab):
     assert ids.count(v.special_id("[Ms]")) == 1
     assert ids.count(v.special_id("[Me]")) == 1
     assert seq.attn_len == 8
-    assert ids[-1] == v.sep_id
+    assert ids[-1] == v.special_id("[SEP]")
 
 
 def test_empty_mention_rejected(char_vocab):
@@ -91,8 +91,8 @@ def test_basic_entity_layout(char_vocab):
     e = EntityRecord("e1", "A", "B C", "w")
     seq = build_entity_sequence(e, v, max_len=8)
     expected = [
-        v.cls_id, tok(v, "a"), v.special_id("[ENT]"), tok(v, "b"), tok(v, "c"),
-        v.sep_id, v.pad_id, v.pad_id,
+        v.special_id("[CLS]"), tok(v, "a"), v.special_id("[ENT]"), tok(v, "b"), tok(v, "c"),
+        v.special_id("[SEP]"), v.pad_id, v.pad_id,
     ]
     assert seq.ids.tolist() == expected
     assert seq.special_indices == [0, 2, 5]
@@ -104,8 +104,8 @@ def test_typed_entity_layout(char_vocab):
     e = EntityRecord("e1", "A", "B C", "w", entity_type="LOC")
     seq = build_entity_sequence(e, v, max_len=8, use_entity_type=True)
     expected = [
-        v.cls_id, v.special_id("[LOC]"), tok(v, "a"), v.special_id("[ENT]"),
-        tok(v, "b"), tok(v, "c"), v.sep_id, v.pad_id,
+        v.special_id("[CLS]"), v.special_id("[LOC]"), tok(v, "a"), v.special_id("[ENT]"),
+        tok(v, "b"), tok(v, "c"), v.special_id("[SEP]"), v.pad_id,
     ]
     assert seq.ids.tolist() == expected
     assert seq.special_indices == [0, 1, 3, 6]
@@ -117,7 +117,7 @@ def test_entity_description_tail_truncated(char_vocab):
     e = EntityRecord("e1", "a", " ".join(["b"] * 50), "w")
     seq = build_entity_sequence(e, v, max_len=10)
     assert seq.attn_len == 10
-    assert seq.ids[-1] == v.sep_id
+    assert seq.ids[-1] == v.special_id("[SEP]")
     assert seq.ids[1] == tok(v, "a")  # title survives
 
 

@@ -170,7 +170,7 @@ def test_gradient_check_tiny_model(char_vocab):
     cfg, pm, pe, ms, es = _tiny_pipeline(char_vocab)
     report = T.gradient_check(pm, pe, replace(cfg, pooling_kind="avg"), ms, es,
                               samples_per_tensor=6)
-    assert report.ok(1e-4), (report.max_rel_error, report.worst_param)
+    assert report.ok(), (report.max_rel_error, report.worst_param)
 
 
 def test_training_deterministic(toy_world, toy_vocab):
