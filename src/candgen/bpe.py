@@ -7,12 +7,17 @@ applied word-internally, and every word gets an end-of-word marker so
 decoding can restore word boundaries. Special tokens are atomic: they are
 never split and never take part in merge learning. Every vocabulary begins
 with ``SPECIAL_TOKENS``, so a special token has the same id in all of them.
+
+Training keeps the pair counts from one merge to the next and updates only
+the words that a merge touches. Each merge takes the most frequent pair,
+and a tie goes to the lexicographically smallest pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -78,10 +83,11 @@ class Vocabulary:
     id_to_token: list[str]
     merges: list[tuple[str, str]]
 
-    token_to_id: dict[str, int] = field(init=False, repr=False)
-    merge_ranks: dict[tuple[str, str], int] = field(init=False, repr=False)
+    # Derived from the two fields above, so equality ignores them.
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    merge_ranks: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     _word_cache: dict[str, tuple[int, ...]] = field(
-        init=False, repr=False, default_factory=dict
+        init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self):
@@ -235,20 +241,14 @@ def _merge_pair(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     return merged
 
 
-def count_pairs(words: dict[tuple, int]) -> Counter:
-    """Adjacent-pair frequencies over segmented words, weighted by word count."""
-    pairs: Counter = Counter()
-    for symbols, freq in words.items():
-        for a, b in zip(symbols, symbols[1:]):
-            pairs[(a, b)] += freq
-    return pairs
-
-
 def train_bpe(texts: Iterable[str], target_vocab_size: int) -> Vocabulary:
     """Learn BPE merges from a text stream.
 
-    Ties between equally frequent pairs go to the lexicographically
-    smallest pair, so training is deterministic.
+    Each merge takes the most frequent adjacent pair; ties between equally
+    frequent pairs go to the lexicographically smallest pair, so training
+    is deterministic. Pair counts are kept across merges, and a merge
+    rewrites only the words that hold its pair (Sennrich et al., arXiv
+    1508.07909).
     """
     word_counts = Counter(
         piece for text in texts for piece in _pieces(text) if isinstance(piece, str)
@@ -256,7 +256,8 @@ def train_bpe(texts: Iterable[str], target_vocab_size: int) -> Vocabulary:
     if not word_counts:
         raise TokenizerError("empty training corpus")
 
-    words = {tuple(_initial_symbols(w)): c for w, c in word_counts.items()}
+    words = [_initial_symbols(w) for w in word_counts]
+    freqs = list(word_counts.values())
     alphabet = sorted({s for symbols in words for s in symbols})
     base_size = len(alphabet) + len(SPECIAL_TOKENS)
     if target_vocab_size < base_size:
@@ -264,17 +265,46 @@ def train_bpe(texts: Iterable[str], target_vocab_size: int) -> Vocabulary:
             f"target vocab size {target_vocab_size} below alphabet+specials {base_size}"
         )
 
+    pair_counts: Counter = Counter()
+    # Every word that holds a pair is in its set; a word that no longer
+    # holds it may linger there.
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, (symbols, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freq
+            holders[pair].add(i)
+    # (-count, pair) pops the most frequent pair, the smallest on a tie. An
+    # entry whose count is no longer the pair's count is stale and skipped;
+    # every count change pushes a fresh entry.
+    heap = [(-c, pair) for pair, c in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     merged_tokens: list[str] = []
     seen = set(SPECIAL_TOKENS) | set(alphabet)
-    while len(merges) < target_vocab_size - base_size:
-        pairs = count_pairs(words)
-        if not pairs:
-            break
-        best_count = max(pairs.values())
-        best = min(p for p, c in pairs.items() if c == best_count)
+    while len(merges) < target_vocab_size - base_size and heap:
+        neg_count, best = heapq.heappop(heap)
+        if pair_counts[best] != -neg_count:
+            continue
         merges.append(best)
-        words = {tuple(_merge_pair(list(s), best)): c for s, c in words.items()}
+        delta: Counter = Counter()
+        for i in holders.pop(best):
+            old = words[i]
+            new = _merge_pair(old, best)
+            if len(new) == len(old):
+                continue
+            freq = freqs[i]
+            for pair in zip(old, old[1:]):
+                delta[pair] -= freq
+            for pair in zip(new, new[1:]):
+                delta[pair] += freq
+                holders[pair].add(i)
+            words[i] = new
+        for pair, d in delta.items():
+            if d:
+                pair_counts[pair] += d
+                if pair_counts[pair] > 0:
+                    heapq.heappush(heap, (-pair_counts[pair], pair))
         product = best[0] + best[1]
         if product not in seen:
             seen.add(product)

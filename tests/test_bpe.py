@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from candgen import bpe
 from candgen.bpe import (
     END_OF_WORD,
     SPECIAL_TOKENS,
@@ -228,7 +229,7 @@ def reference_encode(vocab: Vocabulary, text: str) -> list[int]:
 
 def _budget(corpus: list[str], merges: int) -> int:
     """A vocabulary size that leaves room for exactly ``merges`` merges."""
-    words = [w for t in corpus for w in t.lower().split()]
+    words = [p for t in corpus for p in bpe._pieces(t) if isinstance(p, str)]
     return len(SPECIALS) + len({s for w in words for s in _initial_symbols(w)}) + merges
 
 
@@ -331,3 +332,92 @@ def test_load_refuses_bad_vocabularies(tmp_path, case):
     merges_path.write_text("\n".join(merges) + "\n", encoding="utf-8")
     with pytest.raises(TokenizerError, match=re.escape(str(vocab_path))):
         Vocabulary.load(vocab_path, merges_path)
+
+
+def test_vocabulary_equality_ignores_what_encoding_caches(tmp_path):
+    # token_to_id, merge_ranks and the word cache derive from the token list
+    # and the merges, so encoding text must not change what compares equal.
+    a = train_bpe(["hello world hello"], len(SPECIALS) + 30)
+    b = train_bpe(["hello world hello"], len(SPECIALS) + 30)
+    assert a == b
+    a.encode("hello there world")
+    assert a == b
+    a.save(tmp_path / "v.vocab", tmp_path / "v.merges")
+    loaded = Vocabulary.load(tmp_path / "v.vocab", tmp_path / "v.merges")
+    assert loaded == a
+    assert train_bpe(["hello world hello"], len(SPECIALS) + 12) != a
+
+
+def reference_train_bpe(texts: list[str], target_vocab_size: int) -> Vocabulary:
+    """The trainer as it was before pair counts were kept across merges:
+    every merge recounts every pair of every word and rewrites every word."""
+    word_counts = Counter(
+        piece for text in texts for piece in bpe._pieces(text) if isinstance(piece, str)
+    )
+    if not word_counts:
+        raise TokenizerError("empty training corpus")
+    words = {tuple(_initial_symbols(w)): c for w, c in word_counts.items()}
+    alphabet = sorted({s for symbols in words for s in symbols})
+    base_size = len(alphabet) + len(SPECIALS)
+    if target_vocab_size < base_size:
+        raise TokenizerError(
+            f"target vocab size {target_vocab_size} below alphabet+specials {base_size}"
+        )
+    merges: list[tuple[str, str]] = []
+    merged_tokens: list[str] = []
+    seen = set(SPECIALS) | set(alphabet)
+    while len(merges) < target_vocab_size - base_size:
+        pairs: Counter = Counter()
+        for symbols, freq in words.items():
+            for a, b in zip(symbols, symbols[1:]):
+                pairs[(a, b)] += freq
+        if not pairs:
+            break
+        best_count = max(pairs.values())
+        best = min(p for p, c in pairs.items() if c == best_count)
+        merges.append(best)
+        words = {tuple(_merge_pair(list(s), best)): c for s, c in words.items()}
+        product = best[0] + best[1]
+        if product not in seen:
+            seen.add(product)
+            merged_tokens.append(product)
+    return Vocabulary(id_to_token=[*SPECIALS, *alphabet, *merged_tokens], merges=merges)
+
+
+# Words over two or three letters, so pairs overlap (aaaa, abab) and counts
+# tie often, glued to or spaced from special-token strings.
+_trainer_text = st.lists(
+    st.tuples(
+        st.one_of(st.text(alphabet="ab", min_size=1, max_size=8),
+                  st.text(alphabet="abc", min_size=1, max_size=5),
+                  st.sampled_from(["aaaa", "abab", "aaaaa", "babab", "aabb"]),
+                  st.sampled_from(SPECIALS)),
+        st.sampled_from(["", " "]),
+    ),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(texts=st.lists(_trainer_text, min_size=1, max_size=5), shortfall=st.integers(-2, 6))
+def test_train_bpe_matches_reference_property(texts, shortfall):
+    texts = ["".join(chunk + sep for chunk, sep in t) for t in texts]
+    if not any(isinstance(p, str) for t in texts for p in bpe._pieces(t)):
+        texts = texts + ["abab"]
+    # a budget far past the merge count where pairs run out, then one below
+    # it (shortfall > 0), at it (0) or just past it (< 0)
+    past = _budget(texts, 10_000)
+    exhausted = reference_train_bpe(texts, past)
+    assert train_bpe(texts, past) == exhausted
+    size = _budget(texts, max(0, len(exhausted.merges) - shortfall))
+    assert train_bpe(texts, size) == reference_train_bpe(texts, size)
+
+
+def test_stale_count_of_a_lowered_pair_does_not_win():
+    # (x, b) merges first (6). It removes two of the five (b, c</w>), which
+    # then ties (a, d</w>) at 3, and the smaller (a, d</w>) goes next.
+    texts = ["xbc xbc bc bc bc ad ad ad xbe xbf xbg xbh"]
+    vocab = train_bpe(texts, _budget(texts, 3))
+    c, d = "c" + END_OF_WORD, "d" + END_OF_WORD
+    assert vocab.merges == [("x", "b"), ("a", d), ("b", c)]
+    assert vocab.merges == reference_train_bpe(texts, _budget(texts, 3)).merges

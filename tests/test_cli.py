@@ -595,10 +595,17 @@ def test_artifact_grid_reruns_are_byte_identical(tmp_path):
                 assert (cfg.pooling_kind, cfg.use_entity_type) == (kind, arm == "on")
 
     # tools/grid_diff.py passes a tree compared with itself, and fails one
-    # whose results swap two ranks
+    # whose vocabulary swaps two merge rules, or whose results swap two ranks
     grid_diff = [sys.executable, str(root / "tools" / "grid_diff.py"), str(tmp_path / "a")]
     same = subprocess.run([*grid_diff, str(tmp_path / "a")], capture_output=True, text=True)
     assert same.returncode == 0 and "largest |score difference| 0\n" in same.stdout, same.stdout
+    merges = tmp_path / "b" / "vocab.merges"
+    lines = merges.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0], lines[1] = lines[1], lines[0]
+    merges.write_text("".join(lines), encoding="utf-8")
+    reordered = subprocess.run([*grid_diff, str(tmp_path / "b")], capture_output=True, text=True)
+    assert reordered.returncode == 1, reordered.stdout
+    assert "vocab.merges: bytes differ" in reordered.stdout
     swapped = tmp_path / "b" / "cls-off" / "dot.tsv"
     rows = [line.split("\t") for line in swapped.read_text().splitlines(keepends=True)]
     rows[0][1], rows[1][1] = rows[1][1], rows[0][1]

@@ -9,7 +9,9 @@ between a grid written before it (A) and one written after it (B):
 - every results TSV (``<cell>/<metric>.tsv``) has the same mention ids,
   ranks and entity ids, line by line; scores may differ, and the largest
   absolute difference is reported;
-- every report, every curve and ``grid/table.tsv`` is byte-identical;
+- every report, every curve, ``grid/table.tsv`` and the vocabulary
+  (``vocab.vocab`` and ``vocab.merges``) are byte-identical: BPE training
+  counts in integers, so no floating-point sum reaches them;
 - every ``train.log`` prints the same losses (the same text of each
   field, at the digits it prints).
 
@@ -57,11 +59,12 @@ def compare(a: Path, b: Path) -> tuple[bool, list[str]]:
     lines.append(f"results: {len(results)} files, {row_count} rows; largest |score "
                  f"difference| {worst:.3g}" + (f" ({worst_at})" if worst_at else ""))
 
-    exact = [n for n in names if n.endswith((".report", ".curve")) or n == "grid/table.tsv"]
+    exact = [n for n in names
+             if n.endswith((".report", ".curve", ".vocab", ".merges")) or n == "grid/table.tsv"]
     for name in exact:
         if (a / name).read_bytes() != (b / name).read_bytes():
             problems.append(f"{name}: bytes differ")
-    lines.append(f"byte-compared: {len(exact)} reports, curves and tables")
+    lines.append(f"byte-compared: {len(exact)} reports, curves, tables and vocabulary files")
 
     logs = [n for n in names if n.endswith("train.log")]
     for name in logs:
