@@ -31,7 +31,8 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
 from .templates import build_mention_sequence
-from .training import TrainConfig, forward_pooled, pooled_width
+# perfbench's layer test pins the cli.forward_pooled binding (ROADMAP item 10)
+from .training import TrainConfig, forward_pooled  # noqa: F401
 
 
 def _sha256(path) -> str:
@@ -159,9 +160,7 @@ def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg):
                                enc_cfg.use_entity_type)
         for m in mentions
     ]
-    return retrieval.encode_chunked(
-        seqs, lambda c: forward_pooled(params_m, enc_cfg, c)[0], pooled_width(enc_cfg)
-    )
+    return retrieval.encode_chunked(seqs, params_m, enc_cfg)
 
 
 # -- subcommands -------------------------------------------------------------

@@ -6,6 +6,19 @@ one flat vector whose layout only this module knows: ``param_shapes``
 lists the tensors in order and ``param_views`` names their slices.
 ``backward`` returns one flat gradient in the same layout, checked
 against finite differences and applied by one vectorised AdamW step.
+
+``forward`` writes every intermediate into buffers that one callable
+hands out by name. Called with ``keep_cache=True`` (training), each
+buffer is a fresh array, since the cache must outlive the step. An
+inference call may pass a ``Workspace`` instead: one float64 block,
+allocated once per encode thread and kept for as long as the caller
+holds it, in which buffers whose lifetimes within a layer do not overlap
+share a slot. At a 32-sequence chunk of the default config (dim 64,
+2 heads, ff_dim 256, max_len 32) it is 7.4 MB. Reusing it keeps the
+pages of the working set mapped from one chunk to the next; fresh
+temporaries are freed after every layer, glibc trims its heap, and the
+next layer faults them back in. The buffers receive the same operations
+in the same order either way, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -105,12 +118,67 @@ def init_params(config: EncoderConfig, seed: int) -> np.ndarray:
 # -- primitive layers --------------------------------------------------------
 
 
-def _layernorm_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return xhat * g + b, (xhat, inv)
+def _fresh(name, shape):
+    """Buffer source of a forward that keeps its cache: a new array each time."""
+    return np.empty(shape)
+
+
+# Workspace slot of each buffer ``forward`` takes. The buffers that share a
+# slot are live one after another within a layer: q holds LN1's xhat, then q
+# until the scores are taken, then ctx, then LN2's xhat; k holds k, then the
+# attention output projection, then the FFN's; ln holds u, then w; ff holds
+# f1, then act over it (each element read before it is written); tanh holds
+# the tanh, then 1 + tanh over it; the stat slots hold the mean or the max,
+# then the inverse deviation or the sum.
+_SLOTS = {
+    "x": "x", "u": "ln", "w": "ln", "xhat": "q", "q": "q", "ctx": "q",
+    "k": "k", "proj": "k", "v": "v", "scores": "scores",
+    "f1": "ff", "act": "ff", "gelu_t": "tanh", "gelu_1pt": "tanh",
+    "mu": "ln_stat", "inv": "ln_stat", "smax": "softmax_stat", "ssum": "softmax_stat",
+}
+
+
+class Workspace:
+    """The buffers of cache-less ``forward`` calls on up to ``batch``
+    sequences under ``config``, as one float64 block carved into slots
+    (``_SLOTS``); ``forward`` refuses a call that does not fit. A buffer is
+    valid until the next call that takes its slot, so the ``h`` such a call
+    returns must be read before the next call. Not for use by two threads at
+    once."""
+
+    def __init__(self, config: EncoderConfig, batch: int):
+        n, d, heads = config.max_len, config.dim, config.heads
+        per_seq = {"x": n * d, "ln": n * d, "q": n * d, "k": n * d, "v": n * d,
+                   "scores": heads * n * n, "ff": n * config.ff_dim,
+                   "tanh": n * config.ff_dim, "ln_stat": n, "softmax_stat": heads * n}
+        self.config, self.batch, self._slots, end = config, batch, {}, 0
+        for slot, size in per_seq.items():
+            self._slots[slot] = end
+            end += batch * size
+        self.block = np.empty(end)
+
+    def __call__(self, name, shape) -> np.ndarray:
+        start = self._slots[_SLOTS[name]]
+        return self.block[start : start + math.prod(shape)].reshape(shape)
+
+
+def _layernorm_forward(x, g, b, buf, name):
+    """Layer norm of ``x`` into buffer ``name``; returns it and the cache
+    (xhat, inv). The same operations as ``x.mean`` and ``x.var``."""
+    stat_shape, d = (*x.shape[:-1], 1), x.shape[-1]
+    mu = np.sum(x, axis=-1, keepdims=True, out=buf("mu", stat_shape))
+    mu /= d
+    xhat = np.subtract(x, mu, out=buf("xhat", x.shape))
+    y = np.multiply(xhat, xhat, out=buf(name, x.shape))  # the squares, then the output
+    inv = np.sum(y, axis=-1, keepdims=True, out=buf("inv", stat_shape))
+    inv /= d
+    inv += LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, inv)
 
 
 def _layernorm_backward(dy, g, cache, dg, db):
@@ -134,9 +202,24 @@ def _linear_backward(dy, x, w, dw, db):
     return dy @ w.T
 
 
-def _gelu(x):
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))  # np.power is fast for squares only
-    return 0.5 * x * (1.0 + t), t
+def _linear(x, w, b, out):
+    np.matmul(x, w, out=out)
+    out += b
+    return out
+
+
+def _gelu(x, buf):
+    """tanh-approximated GELU of ``x``; returns it and the tanh. With a
+    workspace the tanh is overwritten by 1 + tanh, which only backward reads."""
+    t = np.multiply(x, x, out=buf("gelu_t", x.shape))  # np.power is fast for squares only
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5, out=buf("act", x.shape))
+    y *= np.add(t, 1.0, out=buf("gelu_1pt", x.shape))
+    return y, t
 
 
 def _gelu_backward(dy, x, t):
@@ -158,13 +241,15 @@ def _merge_heads(x):
 
 
 def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_lens: np.ndarray,
-            *, keep_cache: bool = False):
+            *, keep_cache: bool = False, workspace: Workspace | None = None):
     """Run the encoder on a batch of id sequences.
 
     Returns (h, cache) where h is (B, n, D) with padding rows zeroed, so
     the output is invariant to whatever ids sit in padding positions.
     Only ``keep_cache=True`` keeps the per-layer activations that
-    ``backward`` needs; inference leaves them to be freed layer by layer.
+    ``backward`` needs, in fresh arrays. A cache-less call given a
+    ``workspace`` writes every intermediate, and h, into it; otherwise it
+    allocates them and frees each layer's as it goes.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != config.max_len:
@@ -177,31 +262,42 @@ def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_len
         raise EncoderError(f"expected attn_lens of shape ({b},), got {attn_lens.shape}")
     if attn_lens.min(initial=1) < 1 or attn_lens.max(initial=1) > n:
         raise EncoderError(f"attention length outside [1, {n}]")
+    if workspace is not None and (keep_cache or workspace.config != config
+                                  or b > workspace.batch):
+        raise EncoderError("a workspace serves cache-less calls under its config, "
+                           "on at most its batch")
+    buf = _fresh if workspace is None else workspace
     real = np.arange(n)[None, :] < attn_lens[:, None]  # (B, n)
     attn_bias = np.where(real, 0.0, _NEG_INF)[:, None, None, :]
 
     views = param_views(params, config)
-    x = views["tok_emb"][ids] + views["pos_emb"][None, :n, :]
-    scale = 1.0 / np.sqrt(config.dim // config.heads)
+    heads, shape = config.heads, (b, n, config.dim)
+    # the ids are in range, so mode="clip" changes none; it keeps take unbuffered
+    x = np.take(views["tok_emb"], ids, axis=0, out=buf("x", shape), mode="clip")
+    x += views["pos_emb"][None, :n, :]
+    scale = 1.0 / np.sqrt(config.dim // heads)
 
     layer_caches = [] if keep_cache else None
     for i in range(config.layers):
         p = lambda name: views[f"l{i}.{name}"]
-        u, ln1_cache = _layernorm_forward(x, p("ln1.g"), p("ln1.b"))
-        q = _split_heads(u @ p("attn.wq") + p("attn.bq"), config.heads)
-        k = _split_heads(u @ p("attn.wk") + p("attn.bk"), config.heads)
-        v = _split_heads(u @ p("attn.wv") + p("attn.bv"), config.heads)
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + attn_bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        ctx = _merge_heads(probs @ v)
-        a = x + (ctx @ p("attn.wo") + p("attn.bo"))
+        u, ln1_cache = _layernorm_forward(x, p("ln1.g"), p("ln1.b"), buf, "u")
+        q, k, v = (_split_heads(_linear(u, p(f"attn.w{proj}"), p(f"attn.b{proj}"),
+                                        buf(proj, shape)), heads) for proj in "qkv")
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2), out=buf("scores", (b, heads, n, n)))
+        scores *= scale
+        scores += attn_bias
+        scores -= np.max(scores, axis=-1, keepdims=True, out=buf("smax", (b, heads, n, 1)))
+        np.exp(scores, out=scores)
+        probs = np.divide(scores, np.sum(scores, axis=-1, keepdims=True,
+                                         out=buf("ssum", (b, heads, n, 1))), out=scores)
+        ctx = buf("ctx", shape)
+        np.matmul(probs, v, out=_split_heads(ctx, heads))  # merges the heads as it writes
+        x += _linear(ctx, p("attn.wo"), p("attn.bo"), buf("proj", shape))  # x is now a
 
-        w, ln2_cache = _layernorm_forward(a, p("ln2.g"), p("ln2.b"))
-        f1 = w @ p("ffn.w1") + p("ffn.b1")
-        act, gelu_t = _gelu(f1)
-        x = a + (act @ p("ffn.w2") + p("ffn.b2"))
+        w, ln2_cache = _layernorm_forward(x, p("ln2.g"), p("ln2.b"), buf, "w")
+        f1 = _linear(w, p("ffn.w1"), p("ffn.b1"), buf("f1", (b, n, config.ff_dim)))
+        act, gelu_t = _gelu(f1, buf)
+        x += _linear(act, p("ffn.w2"), p("ffn.b2"), buf("proj", shape))
         if not np.isfinite(x).all():
             raise EncoderError(f"non-finite activation in layer {i}")
         if keep_cache:
@@ -210,8 +306,8 @@ def forward(params: np.ndarray, config: EncoderConfig, ids: np.ndarray, attn_len
                      ln2=ln2_cache, f1=f1, act=act, gelu_t=gelu_t)
             )
 
-    h = x * real[:, :, None]
-    return h, dict(ids=ids, real=real, layers=layer_caches, config=config, views=views)
+    x *= real[:, :, None]
+    return x, dict(ids=ids, real=real, layers=layer_caches, config=config, views=views)
 
 
 def backward(cache: dict, dh: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact, blas, pooling
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, Workspace
 from .templates import build_entity_sequence
 from .training import forward_pooled, pooled_width
 
@@ -268,30 +268,37 @@ def _usable_cpus() -> int:
 
 
 @blas.one_thread()
-def encode_chunked(seqs: list, encode, width: int) -> np.ndarray:
-    """The (N, width) rows of ``encode`` over ``EMBED_CHUNK``-sized chunks of
-    ``seqs``, in input order, on T = ``min(usable CPUs, chunks)`` threads. Each
-    thread takes the next chunk not yet taken, so a thread whose CPU another
-    process holds takes fewer chunks instead of finishing last. Each writes
-    its chunks' rows straight into the one (N, width) matrix allocated here,
-    so none holds blocks for a final concatenation. The calling thread is one
-    of them, so one chunk starts no thread and the pool adds T - 1 (each pool
-    thread's allocations add to peak memory). OpenBLAS runs on one thread
-    meanwhile (``blas.one_thread``), so the pool is all the parallelism there
-    is. A row does not depend on its chunk: the rows are the same for any T."""
-    out = np.empty((len(seqs), width))
+def encode_chunked(seqs: list, params: np.ndarray, enc_cfg: EncoderConfig) -> np.ndarray:
+    """The (N, P) rows of ``forward_pooled(params, enc_cfg, ...)`` over
+    ``EMBED_CHUNK``-sized chunks of ``seqs``, in input order, on T =
+    ``min(usable CPUs, chunks)`` threads. Each thread takes the next chunk not
+    yet taken, so a thread whose CPU another process holds takes fewer chunks
+    instead of finishing last. Each writes its chunks' rows straight into the
+    one (N, P) matrix allocated here, so none holds blocks for a final
+    concatenation. The calling thread is one of them, so one chunk starts no
+    thread and the pool adds T - 1. Each thread encodes in its own
+    ``Workspace`` for ``EMBED_CHUNK`` sequences (7.4 MB at the default
+    config), allocated once and freed when the call returns; a chunk's rows
+    are copied out before its thread's next chunk reuses it. So peak memory
+    grows by one workspace per thread, and the working set stays mapped from
+    chunk to chunk. OpenBLAS runs on one thread meanwhile
+    (``blas.one_thread``), so the pool is all the parallelism there is. A row
+    does not depend on its chunk: the rows are the same for any T."""
+    out = np.empty((len(seqs), pooled_width(enc_cfg)))
     chunks = range(0, len(seqs), EMBED_CHUNK)
     threads = max(1, min(_usable_cpus(), len(chunks)))
     starts, taking, failed = iter(chunks), threading.Lock(), threading.Event()
 
     def run(_):
+        workspace = Workspace(enc_cfg, EMBED_CHUNK)
         while not failed.is_set():
             with taking:
                 i = next(starts, None)
             if i is None:
                 return
             try:
-                out[i : i + EMBED_CHUNK] = encode(seqs[i : i + EMBED_CHUNK])
+                out[i : i + EMBED_CHUNK] = forward_pooled(
+                    params, enc_cfg, seqs[i : i + EMBED_CHUNK], workspace=workspace)[0]
             except BaseException:
                 failed.set()  # the other threads take no further chunk
                 raise
@@ -313,8 +320,7 @@ def build_index(entities, params_e: np.ndarray, enc_cfg: EncoderConfig, vocab) -
             for e in entities]
     return EmbeddingIndex(
         entity_ids=[e.entity_id for e in entities],
-        matrix=encode_chunked(seqs, lambda c: forward_pooled(params_e, enc_cfg, c)[0],
-                              pooled_width(enc_cfg)),
+        matrix=encode_chunked(seqs, params_e, enc_cfg),
         pooling_kind=enc_cfg.pooling_kind,
         use_entity_type=enc_cfg.use_entity_type,
     )

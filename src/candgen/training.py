@@ -89,8 +89,10 @@ class AdamW:
     def step(self, grads: np.ndarray, lr: float):
         cfg, p = self.cfg, self.params
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grads
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grads * grads
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grads
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grads * grads
         mhat = self.m / (1.0 - ADAM_BETA1**self.t)
         vhat = self.v / (1.0 - ADAM_BETA2**self.t)
         p -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + cfg.weight_decay * p)
@@ -107,19 +109,22 @@ def forward_pooled(
     slot_count: int | None = None,
     *,
     keep_cache: bool = False,
+    workspace: encoder.Workspace | None = None,
 ):
     """Encode a batch of sequences and pool each to a vector, under
     ``enc_cfg``'s pooling padded to the slot budget of its entity-type mode,
     or under ``kind`` and ``slot_count`` when they are given.
 
-    Returns (Y, state) with Y of shape (B, P); state feeds backward_pooled
-    when the encoder ran with ``keep_cache=True``.
+    Returns (Y, state) with Y of shape (B, P), a fresh array; state feeds
+    backward_pooled when the encoder ran with ``keep_cache=True``. A
+    cache-less call may encode in ``workspace`` (see ``encoder.forward``).
     """
     if kind is None:
         kind, slot_count = enc_cfg.pooling_kind, shared_slot_count(enc_cfg.use_entity_type)
     ids = np.stack([s.ids for s in seqs])
     lens = np.array([s.attn_len for s in seqs])
-    h, cache = encoder.forward(params, enc_cfg, ids, lens, keep_cache=keep_cache)
+    h, cache = encoder.forward(params, enc_cfg, ids, lens, keep_cache=keep_cache,
+                               workspace=workspace)
     y, weights = pooling.reduce(
         h, lens, [s.special_indices for s in seqs], kind, slot_count
     )

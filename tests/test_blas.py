@@ -65,13 +65,16 @@ def test_encode_chunked_and_train_run_on_one_blas_thread(toy_world, toy_vocab, m
     caller's count is back afterwards."""
     before = _threads()
     monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
+    cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
+                        vocab_size=len(toy_vocab))
     seen = []
 
-    def encode(chunk):
+    def encode(params, enc_cfg, chunk, *, workspace):
         seen.append(_threads())
-        return np.zeros((len(chunk), 3))
+        return np.zeros((len(chunk), enc_cfg.dim)), None
 
-    R.encode_chunked(list(range(3 * R.EMBED_CHUNK)), encode, 3)
+    monkeypatch.setattr(R, "forward_pooled", encode)
+    R.encode_chunked(list(range(3 * R.EMBED_CHUNK)), None, cfg)
     assert seen == [1, 1, 1] and _threads() == before
 
     seen.clear()
@@ -82,8 +85,6 @@ def test_encode_chunked_and_train_run_on_one_blas_thread(toy_world, toy_vocab, m
         return step(*args)
 
     monkeypatch.setattr(T, "batch_loss_and_grads", counted)
-    cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
-                        vocab_size=len(toy_vocab))
     T.train(toy_world, toy_vocab, cfg, T.TrainConfig(epochs=1, learning_rate=1e-3, seed=5))
     assert seen and set(seen) == {1} and _threads() == before
 

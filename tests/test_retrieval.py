@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from candgen import pooling
 from candgen import retrieval as R
-from candgen.encoder import EncoderConfig, init_params
+from candgen.encoder import EncoderConfig, EncoderError, Workspace, init_params
 from candgen.templates import build_entity_sequence, build_mention_sequence, shared_slot_count
 from candgen.training import forward_pooled
 from index_files import index_with_header, split_index
@@ -209,11 +210,13 @@ def test_build_index_empty_dictionary_rejected(toy_vocab):
 
 
 def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
-    """Entity and mention sequences on two threads get the rows
-    ``forward_pooled`` gives each sequence alone, under every pooling, in one
+    """Entity and mention sequences on one and on two threads get the rows
+    ``forward_pooled`` gives each sequence alone, and the rows it gives them
+    all in one batch with ``keep_cache=True``, under every pooling, in one
     matrix of the pooled width: for 0, 1, ``EMBED_CHUNK``, 2 ``EMBED_CHUNK``
-    + 1 and all (up to four chunks) of the sequences."""
-    monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
+    + 1 and all (up to four chunks) of the sequences. A thread's last chunk
+    may be short after a full one, so a workspace row left from that one
+    must not reach it."""
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
     params = init_params(cfg, 0)
@@ -226,36 +229,75 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
                     for m in toy_world.mentions * 2]
     entity_seqs = [build_entity_sequence(e, toy_vocab, cfg.max_len, True) for e in entities]
     for kind in pooling.ALL_KINDS:
-        width = pooling.pooled_dim(kind, cfg.dim, slots)
+        typed = replace(cfg, pooling_kind=kind, use_entity_type=True)
         for seqs in (mention_seqs, entity_seqs):
             assert len(seqs) > 2 * R.EMBED_CHUNK + 1
             alone = np.concatenate(
                 [forward_pooled(params, cfg, [s], kind, slots)[0] for s in seqs])
-            for n in (0, 1, R.EMBED_CHUNK, 2 * R.EMBED_CHUNK + 1, len(seqs)):
-                chunked = R.encode_chunked(
-                    seqs[:n], lambda c: forward_pooled(params, cfg, c, kind, slots)[0], width)
-                np.testing.assert_array_equal(chunked, alone[:n])
-        typed = replace(cfg, pooling_kind=kind, use_entity_type=True)
+            cached, _ = forward_pooled(params, typed, seqs, keep_cache=True)
+            np.testing.assert_array_equal(cached, alone)
+            for cpus in (1, 2):
+                monkeypatch.setattr(R, "_usable_cpus", lambda: cpus)
+                for n in (0, 1, R.EMBED_CHUNK, 2 * R.EMBED_CHUNK + 1, len(seqs)):
+                    chunked = R.encode_chunked(seqs[:n], params, typed)
+                    np.testing.assert_array_equal(chunked, alone[:n])
         index = R.build_index(entities, params, typed, toy_vocab)
         np.testing.assert_array_equal(index.matrix, alone)
         assert (index.pooling_kind, index.use_entity_type) == (kind, True)
 
 
-def test_encode_chunked_takes_no_chunk_after_a_failure(monkeypatch):
+def test_a_warm_workspace_encodes_a_chunk_in_place(toy_world, toy_vocab):
+    """At the default encoder shape, one full cache-less chunk encoded in a
+    workspace that has held one before allocates under 2 MB at its peak
+    (19 MB with fresh temporaries), and gives the rows of a fresh forward.
+    A cache kept for training shares no memory with a workspace, which
+    refuses to hold one, and a workspace refuses a batch larger than its own."""
+    cfg = EncoderConfig(vocab_size=len(toy_vocab), pooling_kind=pooling.CONC_SPECIAL,
+                        use_entity_type=True)
+    params = init_params(cfg, 0)
+    entities = (toy_world.entities * R.EMBED_CHUNK)[: R.EMBED_CHUNK]
+    seqs = [build_entity_sequence(e, toy_vocab, cfg.max_len, True) for e in entities]
+    workspace = Workspace(cfg, R.EMBED_CHUNK)
+    forward_pooled(params, cfg, seqs, workspace=workspace)
+    tracemalloc.start()
+    try:
+        rows, _ = forward_pooled(params, cfg, seqs, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
+    cached, state = forward_pooled(params, cfg, seqs, keep_cache=True)
+    np.testing.assert_array_equal(rows, cached)
+    arrays = [state["cache"]["ids"], state["cache"]["real"]]
+    for layer in state["cache"]["layers"]:
+        for value in layer.values():
+            arrays += value if isinstance(value, tuple) else [value]
+    assert len(arrays) == 2 + cfg.layers * 14
+    assert not any(np.shares_memory(a, workspace.block) for a in arrays)
+    with pytest.raises(EncoderError, match="workspace"):
+        forward_pooled(params, cfg, seqs, keep_cache=True, workspace=workspace)
+    with pytest.raises(EncoderError, match="workspace"):
+        forward_pooled(params, cfg, seqs, workspace=Workspace(cfg, R.EMBED_CHUNK - 1))
+
+
+def test_encode_chunked_takes_no_chunk_after_a_failure(toy_vocab, monkeypatch):
     """Once the first of 40 chunks raises, the other thread finishes the
     chunk it holds, and at most one it took meanwhile; the error comes out."""
     monkeypatch.setattr(R, "_usable_cpus", lambda: 2)
     calls = []
 
-    def encode(chunk):
+    def encode(params, enc_cfg, chunk, *, workspace):
         calls.append(chunk[0])
         if chunk[0] == 0:
             raise ZeroDivisionError
         time.sleep(0.02)
-        return np.zeros((len(chunk), 1))
+        return np.zeros((len(chunk), enc_cfg.dim)), None
 
+    monkeypatch.setattr(R, "forward_pooled", encode)
+    cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
+                        vocab_size=len(toy_vocab))
     with pytest.raises(ZeroDivisionError):
-        R.encode_chunked(list(range(40 * R.EMBED_CHUNK)), encode, 1)
+        R.encode_chunked(list(range(40 * R.EMBED_CHUNK)), None, cfg)
     assert len(calls) <= 3, calls
 
 
