@@ -9,7 +9,6 @@ Run with:  python3 demos/02_train_and_retrieve.py
 
 from candgen import evaluation, retrieval, synthetic, training
 from candgen.encoder import EncoderConfig
-from candgen.templates import build_mention_sequence
 
 # ---------------------------------------------------------------------------
 # 1. A corpus the model can actually learn
@@ -44,12 +43,10 @@ print("first/last epoch:", result.log_lines[0], "|", result.log_lines[-1])
 
 index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab)
 
-mention_seqs = [
-    build_mention_sequence(m, world.documents[m.context_document_id], vocab,
-                           enc_cfg.max_len)
-    for m in world.mentions
-]
-ys, _ = training.forward_pooled(result.params_m, enc_cfg, mention_seqs)
+# Each mention is templated in its context document and encoded the way
+# `candgen retrieve` does it, one row per mention.
+ys = retrieval.encode_mentions(world.mentions, world.documents, result.params_m,
+                               enc_cfg, vocab)
 results = [retrieval.top_k(index, ys[i], 5, retrieval.DOT, m.mention_id)
            for i, m in enumerate(world.mentions)]
 

@@ -11,7 +11,6 @@ from dataclasses import replace
 
 from candgen import evaluation, pooling, retrieval, synthetic, training
 from candgen.encoder import EncoderConfig
-from candgen.templates import build_mention_sequence
 
 world = synthetic.make_toy_world(n_entities=20, n_mentions=50, seed=0)
 vocab = synthetic.toy_vocabulary(world)
@@ -21,19 +20,14 @@ mention_ids = [m.mention_id for m in world.mentions]
 enc_cfg = EncoderConfig(dim=32, layers=1, heads=2, ff_dim=128, max_len=16,
                         vocab_size=len(vocab))
 
-mention_seqs = [
-    build_mention_sequence(m, world.documents[m.context_document_id], vocab,
-                           enc_cfg.max_len)
-    for m in world.mentions
-]
-
 print(f"{'pooling':<14}{'dot':>8}{'cosine':>8}{'euclid':>8}   (accuracy@1)")
 train_cfg = training.TrainConfig(epochs=20)
 for kind in pooling.ALL_KINDS:
     cfg = replace(enc_cfg, pooling_kind=kind)  # one model per pooling
     result = training.train(world, vocab, cfg, train_cfg)
     index = retrieval.build_index(world.entities, result.params_e, cfg, vocab)
-    ys, _ = training.forward_pooled(result.params_m, cfg, mention_seqs)
+    ys = retrieval.encode_mentions(world.mentions, world.documents, result.params_m, cfg,
+                                   vocab)
     row = [kind]
     for metric in retrieval.ALL_METRICS:
         # every mention at once, scanned in blocks, as `candgen retrieve` does

@@ -30,7 +30,6 @@ from .corpus import (
     validate_spans,
 )
 from .encoder import EncoderConfig, load_checkpoint, save_checkpoint
-from .templates import build_mention_sequence
 # perfbench's layer test pins the cli.forward_pooled binding (ROADMAP item 10)
 from .training import TrainConfig, forward_pooled  # noqa: F401
 
@@ -152,17 +151,6 @@ def _train(args, world: World, vocab, kind: str, seed: int, use_types: bool):
     return enc_cfg, training.train(world, vocab, enc_cfg, train_cfg)
 
 
-def _mention_vectors(mentions, documents, vocab, params_m, enc_cfg):
-    """Pooled mention vectors under ``enc_cfg``'s pooling and entity-type mode,
-    one row per mention (``retrieval.encode_chunked``)."""
-    seqs = [
-        build_mention_sequence(m, documents[m.context_document_id], vocab, enc_cfg.max_len,
-                               enc_cfg.use_entity_type)
-        for m in mentions
-    ]
-    return retrieval.encode_chunked(seqs, params_m, enc_cfg)
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -221,7 +209,7 @@ def cmd_retrieve(args):
         documents = documents_from_entities(load_entities(args.documents, world="_"))
         validate_spans(mentions, documents)
         mentions = _typed(World([], documents, mentions), _types_file(args)).mentions
-        ys = _mention_vectors(mentions, documents, vocab, params_m, enc_cfg)
+        ys = retrieval.encode_mentions(mentions, documents, params_m, enc_cfg, vocab)
         results = retrieval.top_k_many(index, ys, args.k, args.metric,
                                        [m.mention_id for m in mentions])
         _write_results_tsv(results, args.out)
@@ -339,8 +327,8 @@ def cmd_experiment(args):
             for seed in range(args.seed, args.seed + args.seeds):
                 enc_cfg, result = _train(args, world, vocab, kind, seed, use_types)
                 index = retrieval.build_index(world.entities, result.params_e, enc_cfg, vocab)
-                ys = _mention_vectors(world.mentions, world.documents, vocab,
-                                      result.params_m, enc_cfg)
+                ys = retrieval.encode_mentions(world.mentions, world.documents,
+                                               result.params_m, enc_cfg, vocab)
                 for metric in retrieval.ALL_METRICS:
                     results = retrieval.top_k_many(index, ys, args.k, metric, mention_ids)
                     report = evaluation.build_report(results, gold, world_of, [1, args.k])

@@ -68,6 +68,12 @@ _JSON_TYPES = {str: "string", int: "integer", float: "number", bool: "boolean",
                type(None): "null", list: "array", dict: "object"}
 
 
+def _check_tsv_field(where: str, name: str, value: str) -> None:
+    """Refuse a value that a TAB, CR or LF would split as a TSV field."""
+    if any(c in value for c in "\t\r\n"):
+        raise CorpusValidationError(f"{where}: {name} {value!r} holds a TAB, CR or LF")
+
+
 def _read_records(path, fields: dict[str, tuple[str, type]]):
     """Yield ``(file:line, values)`` for each non-blank line of a JSONL file;
     ``values`` maps each attribute of ``fields`` to its value, which must have
@@ -105,8 +111,7 @@ def _read_records(path, fields: dict[str, tuple[str, type]]):
                         f"{where}: {key!r} cannot be encoded as UTF-8 ({e.reason})"
                     ) from e
         name, ident = next(iter(values.items()))
-        if any(c in ident for c in "\t\r\n"):
-            raise CorpusValidationError(f"{where}: {name} {ident!r} holds a TAB, CR or LF")
+        _check_tsv_field(where, name, ident)
         if ident in seen:
             raise CorpusValidationError(f"{where}: duplicate {name} {ident!r}")
         seen.add(ident)
@@ -138,6 +143,7 @@ def load_mentions(path) -> list[MentionRecord]:
     """Load a mention file; span order is checked here, document bounds later."""
     records: list[MentionRecord] = []
     for where, values in _read_records(path, _MENTION_FIELDS):
+        _check_tsv_field(where, "corpus", values["world"])  # a key of eval's report
         rec = MentionRecord(**values)
         if rec.start_index < 0 or rec.start_index > rec.end_index:
             raise CorpusValidationError(f"{where}: mention {rec.mention_id}: invalid span "

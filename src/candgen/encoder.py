@@ -138,6 +138,13 @@ _SLOTS = {
 }
 
 
+# A workspace stays one block. A build that allocated each slot as its own
+# array on first use kept every row's bits, yet slowed the training that the
+# fit benchmark runs after an encode (train_pairs_per_s 369-411 against
+# 450-482, 6 of 6 alternating pairs on 2 CPUs), though training takes no
+# workspace: its speed depends on the block the previous encode frees, likely
+# through glibc's dynamic mmap and trim thresholds (not traced). Training
+# buffers that every step reuses (ROADMAP item 5) would end that coupling.
 class Workspace:
     """The buffers of cache-less ``forward`` calls on up to ``batch``
     sequences under ``config``, as one float64 block carved into slots

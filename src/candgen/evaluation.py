@@ -56,7 +56,7 @@ def build_report(
     results: list[RetrievalResult],
     gold: dict[str, str],
     world_of_mention: dict[str, str],
-    ks=DEFAULT_K_GRID,
+    ks,
     metric: str = "",
 ) -> EvalReport:
     ks = sorted(set(int(k) for k in ks))

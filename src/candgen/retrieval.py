@@ -32,7 +32,7 @@ import numpy as np
 
 from . import artifact, blas, pooling
 from .encoder import EncoderConfig, Workspace
-from .templates import build_entity_sequence
+from .templates import build_entity_sequence, mention_sequences
 from .training import forward_pooled, pooled_width
 
 DOT = "dot"
@@ -324,6 +324,13 @@ def build_index(entities, params_e: np.ndarray, enc_cfg: EncoderConfig, vocab) -
         pooling_kind=enc_cfg.pooling_kind,
         use_entity_type=enc_cfg.use_entity_type,
     )
+
+
+def encode_mentions(mentions, documents, params_m: np.ndarray, enc_cfg: EncoderConfig, vocab):
+    """One row per mention, templated in its context document from ``documents``
+    and encoded under the pooling and the entity-type mode of ``enc_cfg``."""
+    return encode_chunked(mention_sequences(mentions, documents, vocab, enc_cfg.max_len,
+                                            enc_cfg.use_entity_type), params_m, enc_cfg)
 
 
 # -- persistence -------------------------------------------------------------

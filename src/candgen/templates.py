@@ -112,6 +112,14 @@ def build_mention_sequence(
     )
 
 
+def mention_sequences(mentions: list[MentionRecord], documents: dict[str, list[str]],
+                      vocab: Vocabulary, max_len: int,
+                      use_entity_type: bool) -> list[TokenSequence]:
+    """Each mention's sequence, built in its context document from ``documents``."""
+    return [build_mention_sequence(m, documents[m.context_document_id], vocab, max_len,
+                                   use_entity_type) for m in mentions]
+
+
 def build_entity_sequence(
     entity: EntityRecord,
     vocab: Vocabulary,

@@ -5,6 +5,7 @@ linear learning-rate decay, and an end-to-end finite-difference gradient check.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .encoder import EncoderConfig
 from .templates import (
     TokenSequence,
     build_entity_sequence,
-    build_mention_sequence,
+    mention_sequences,
     shared_slot_count,
 )
 
@@ -45,6 +46,9 @@ class TrainConfig:
             raise TrainingError("batch_size must be >= 1")
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
+        for name in ("learning_rate", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainingError(f"{name} must be finite")
         if self.weight_decay < 0:
             raise TrainingError("weight_decay must not be negative")
         if self.learning_rate <= 0:
@@ -166,18 +170,10 @@ def build_training_pairs(
     world: World, vocab: Vocabulary, enc_cfg: EncoderConfig
 ) -> tuple[list[TokenSequence], list[TokenSequence], list[str]]:
     """Templated (mention, gold entity) sequence pairs for one world."""
-    by_id, use_entity_type = world.entity_by_id(), enc_cfg.use_entity_type
-    mention_seqs, entity_seqs, gold_ids = [], [], []
-    for m in world.mentions:
-        context = world.documents[m.context_document_id]
-        mention_seqs.append(
-            build_mention_sequence(m, context, vocab, enc_cfg.max_len, use_entity_type)
-        )
-        gold = by_id[m.gold_entity_id]
-        entity_seqs.append(
-            build_entity_sequence(gold, vocab, enc_cfg.max_len, use_entity_type)
-        )
-        gold_ids.append(m.gold_entity_id)
+    by_id, max_len, typed = world.entity_by_id(), enc_cfg.max_len, enc_cfg.use_entity_type
+    mention_seqs = mention_sequences(world.mentions, world.documents, vocab, max_len, typed)
+    gold_ids = [m.gold_entity_id for m in world.mentions]
+    entity_seqs = [build_entity_sequence(by_id[g], vocab, max_len, typed) for g in gold_ids]
     return mention_seqs, entity_seqs, gold_ids
 
 
@@ -208,7 +204,6 @@ def train(
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        lr = train_cfg.learning_rate
         for start in range(0, n, b):
             batch = order[start : start + b]
             golds = [gold_ids[i] for i in batch]

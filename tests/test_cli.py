@@ -553,6 +553,10 @@ def test_retrieve_of_no_mentions_writes_empty_results(pipeline, toy_files, tmp_p
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "0"], "epochs must be >= 1"),
     (["--weight-decay", "-5"], "weight_decay must not be negative"),
+    (["--lr", "nan"], "learning_rate must be finite"),
+    (["--lr", "inf"], "learning_rate must be finite"),
+    (["--weight-decay", "nan"], "weight_decay must be finite"),
+    (["--weight-decay", "inf"], "weight_decay must be finite"),
 ])
 def test_train_rejects_senseless_settings(toy_files, pipeline, tmp_path, capsys, flags, message):
     model = str(tmp_path / "model")

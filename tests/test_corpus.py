@@ -98,8 +98,9 @@ def test_duplicate_mention_id_rejected(tmp_path):
 
 @pytest.mark.parametrize("bad", ["e\t0", "e\r0", "e\n0"], ids=["tab", "cr", "lf"])
 def test_ids_that_would_break_a_tsv_line_rejected(tmp_path, bad):
-    """Results and type files are TAB-separated lines; such an id would
-    corrupt them, so it is refused where it enters."""
+    """Results, type and report files are TAB-separated lines; such an id,
+    or such a mention corpus, would corrupt them, so it is refused where it
+    enters."""
     entities, mentions = tmp_path / "e.jsonl", tmp_path / "m.jsonl"
     write_jsonl(entities, [{"document_id": "e1", "title": "A", "text": "B"},
                            {"document_id": bad, "title": "C", "text": "D"}])
@@ -107,6 +108,10 @@ def test_ids_that_would_break_a_tsv_line_rejected(tmp_path, bad):
         C.load_entities(entities, "w")
     write_jsonl(mentions, [_mention_row(), _mention_row(mention_id=bad)])
     with pytest.raises(CorpusValidationError, match=r"m\.jsonl:2: mention_id 'e\\[trn]0'"):
+        C.load_mentions(mentions)
+    # a mention's corpus names its world, a key of eval's report
+    write_jsonl(mentions, [_mention_row(), _mention_row(mention_id="m2", corpus=bad)])
+    with pytest.raises(CorpusValidationError, match=r"m\.jsonl:2: corpus 'e\\[trn]0'"):
         C.load_mentions(mentions)
 
 

@@ -210,13 +210,13 @@ def test_build_index_empty_dictionary_rejected(toy_vocab):
 
 
 def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
-    """Entity and mention sequences on one and on two threads get the rows
-    ``forward_pooled`` gives each sequence alone, and the rows it gives them
-    all in one batch with ``keep_cache=True``, under every pooling, in one
-    matrix of the pooled width: for 0, 1, ``EMBED_CHUNK``, 2 ``EMBED_CHUNK``
-    + 1 and all (up to four chunks) of the sequences. A thread's last chunk
-    may be short after a full one, so a workspace row left from that one
-    must not reach it."""
+    """Mentions (through ``encode_mentions``) and entity sequences on one and
+    on two threads get the rows ``forward_pooled`` gives each sequence alone,
+    and the rows it gives them all in one batch with ``keep_cache=True``,
+    under every pooling, in one matrix of the pooled width: for 0, 1,
+    ``EMBED_CHUNK``, 2 ``EMBED_CHUNK`` + 1 and all (up to four chunks) of the
+    sequences. A thread's last chunk may be short after a full one, so a
+    workspace row left from that one must not reach it."""
     cfg = EncoderConfig(dim=8, layers=1, heads=2, ff_dim=16, max_len=16,
                         vocab_size=len(toy_vocab))
     params = init_params(cfg, 0)
@@ -224,13 +224,19 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
     # 80 entities and 100 mentions: the ids differ, the texts repeat
     entities = [replace(e, entity_id=f"{e.entity_id}.{i}")
                 for i in range(4) for e in toy_world.entities]
-    mention_seqs = [build_mention_sequence(m, toy_world.documents[m.context_document_id],
+    mentions, documents = toy_world.mentions * 2, toy_world.documents
+    mention_seqs = [build_mention_sequence(m, documents[m.context_document_id],
                                            toy_vocab, cfg.max_len, True)
-                    for m in toy_world.mentions * 2]
+                    for m in mentions]
     entity_seqs = [build_entity_sequence(e, toy_vocab, cfg.max_len, True) for e in entities]
+    sides = (  # each side's sequences, and the encode of its first n under a config
+        (mention_seqs, lambda n, c: R.encode_mentions(mentions[:n], documents, params, c,
+                                                      toy_vocab)),
+        (entity_seqs, lambda n, c: R.encode_chunked(entity_seqs[:n], params, c)),
+    )
     for kind in pooling.ALL_KINDS:
         typed = replace(cfg, pooling_kind=kind, use_entity_type=True)
-        for seqs in (mention_seqs, entity_seqs):
+        for seqs, encode in sides:
             assert len(seqs) > 2 * R.EMBED_CHUNK + 1
             alone = np.concatenate(
                 [forward_pooled(params, cfg, [s], kind, slots)[0] for s in seqs])
@@ -239,8 +245,7 @@ def test_build_index_workers_match_serial(toy_world, toy_vocab, monkeypatch):
             for cpus in (1, 2):
                 monkeypatch.setattr(R, "_usable_cpus", lambda: cpus)
                 for n in (0, 1, R.EMBED_CHUNK, 2 * R.EMBED_CHUNK + 1, len(seqs)):
-                    chunked = R.encode_chunked(seqs[:n], params, typed)
-                    np.testing.assert_array_equal(chunked, alone[:n])
+                    np.testing.assert_array_equal(encode(n, typed), alone[:n])
         index = R.build_index(entities, params, typed, toy_vocab)
         np.testing.assert_array_equal(index.matrix, alone)
         assert (index.pooling_kind, index.use_entity_type) == (kind, True)
